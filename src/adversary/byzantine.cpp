@@ -353,18 +353,30 @@ class StaleReplayer final : public ByzantineBase {
 
   void on_message(net::Context& ctx, ProcessId from,
                   const wire::Message& msg) override {
-    auto honest = run_honest(ctx, from, msg);
     if (!is_read_request(msg)) {
-      forward(ctx, std::move(honest));  // writes and bookkeeping: honest
+      // Writes and bookkeeping: honest.
+      forward(ctx, run_honest(ctx, from, msg));
       return;
     }
     const auto it = stash_.find(from);
     if (it == stash_.end()) {
       // First contact: capture this honest reply verbatim -- it is the
       // snapshot this peer will be served forever.
+      auto honest = run_honest(ctx, from, msg);
       stash_.emplace(from, honest);
       forward(ctx, std::move(honest));
       return;
+    }
+    // The embedded object still sees the read (its tsr row goes into every
+    // write ack), but its reply is discarded. The peer's `have` for us never
+    // advances past the snapshot, so raise it: the discarded delta stays one
+    // or two slots and the watermark can collect the history.
+    if (const auto* hrd = std::get_if<wire::HistReadMsg>(&msg)) {
+      auto raised = *hrd;
+      raised.have = std::max(raised.have, seen_ts_);
+      run_honest(ctx, from, raised);
+    } else {
+      run_honest(ctx, from, msg);
     }
     // Replay the captured old reply, re-stamped onto the current request's
     // round/seq (a raw replay would be filtered as stale round traffic;

@@ -26,6 +26,12 @@
 //                reply (capture.hpp), and re-sends the captured snapshot --
 //                re-stamped onto the current round -- to every later read
 //                from that peer (a replay attack: old truth, fresh framing).
+//                The embedded object still sees every later read (its tsr
+//                row rides on the write acks), but with `have` raised to
+//                the newest writer timestamp: the peer's mirror holds only
+//                the snapshot, so its own `have` never advances, and fed
+//                as is the object could never collect its history and
+//                would copy an ever-longer suffix into each discarded reply.
 //
 // Strategies embed a real honest automaton (SafeObject or RegularObject by
 // flavor) and run it through a CapturingContext, so their write-side

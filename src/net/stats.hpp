@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <variant>
 
@@ -35,6 +36,24 @@ struct NetStats {
   // watermark). Both backends account these at the same send boundary.
   std::uint64_t hist_slots_shipped{0};
   std::uint64_t hist_resyncs{0};
+
+  /// Field-wise sum (backends that count per thread total their slots).
+  NetStats& operator+=(const NetStats& o) {
+    messages_sent += o.messages_sent;
+    messages_delivered += o.messages_delivered;
+    messages_dropped += o.messages_dropped;
+    bytes_sent += o.bytes_sent;
+    messages_lost += o.messages_lost;
+    messages_duplicated += o.messages_duplicated;
+    messages_reordered += o.messages_reordered;
+    for (std::size_t i = 0; i < kNumTypes; ++i) {
+      messages_by_type[i] += o.messages_by_type[i];
+      bytes_by_type[i] += o.bytes_by_type[i];
+    }
+    hist_slots_shipped += o.hist_slots_shipped;
+    hist_resyncs += o.hist_resyncs;
+    return *this;
+  }
 };
 
 }  // namespace rr::net

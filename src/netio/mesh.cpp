@@ -513,19 +513,17 @@ Time Mesh::next_deadline(Node& n) {
   return d;
 }
 
+timespec wait_timeout(Time deadline, Time now) {
+  const Time ns = deadline <= now ? 0 : std::min(kMaxWaitNs, deadline - now);
+  return timespec{static_cast<std::time_t>(ns / 1'000'000'000),
+                  static_cast<long>(ns % 1'000'000'000)};
+}
+
 void Mesh::node_main(Node& n) {
   while (!stopping_.load(std::memory_order_relaxed)) {
-    const Time deadline = next_deadline(n);
-    int timeout_ms = 100;
-    if (deadline != kNoDeadline) {
-      const Time t = now();
-      timeout_ms = deadline <= t
-                       ? 0
-                       : static_cast<int>(std::min<Time>(
-                             100, (deadline - t + 999'999) / 1'000'000));
-    }
+    const timespec timeout = wait_timeout(next_deadline(n), now());
     epoll_event evs[64];
-    const int k = ::epoll_wait(n.epoll.get(), evs, 64, timeout_ms);
+    const int k = ::epoll_pwait2(n.epoll.get(), evs, 64, &timeout, nullptr);
     if (stopping_.load(std::memory_order_relaxed)) return;
     if (k < 0) {
       if (errno == EINTR) continue;
@@ -891,22 +889,7 @@ void Mesh::fire_timers(Node& n) {
 
 net::NetStats Mesh::stats() const {
   net::NetStats total;
-  for (const auto& np : nodes_) {
-    const auto& s = np->local_stats;
-    total.messages_sent += s.messages_sent;
-    total.messages_delivered += s.messages_delivered;
-    total.messages_dropped += s.messages_dropped;
-    total.bytes_sent += s.bytes_sent;
-    total.messages_lost += s.messages_lost;
-    total.messages_duplicated += s.messages_duplicated;
-    total.messages_reordered += s.messages_reordered;
-    total.hist_slots_shipped += s.hist_slots_shipped;
-    total.hist_resyncs += s.hist_resyncs;
-    for (std::size_t i = 0; i < net::NetStats::kNumTypes; ++i) {
-      total.messages_by_type[i] += s.messages_by_type[i];
-      total.bytes_by_type[i] += s.bytes_by_type[i];
-    }
-  }
+  for (const auto& np : nodes_) total += np->local_stats;
   total.messages_dropped += crash_dropped_.load(std::memory_order_acquire);
   return total;
 }

@@ -41,6 +41,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <ctime>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -83,6 +84,15 @@ struct TransportStats {
   std::uint64_t partial_timeouts{0};   ///< frame stuck mid-read past deadline
   std::uint64_t handshake_failures{0};
 };
+
+/// Longest a node's event loop sleeps with no timer due (so it notices
+/// stop() and deadlines posted from other threads promptly).
+constexpr Time kMaxWaitNs = 100'000'000;
+
+/// How long a node's event loop may wait for `deadline` at time `now` (both
+/// Mesh::now() nanoseconds): the exact remaining time, capped at kMaxWaitNs,
+/// and zero for a deadline already due.
+[[nodiscard]] timespec wait_timeout(Time deadline, Time now);
 
 class Mesh {
  public:

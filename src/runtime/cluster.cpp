@@ -240,22 +240,7 @@ Time Cluster::now() const {
 
 net::NetStats Cluster::stats() const {
   net::NetStats total;
-  for (const auto& slot : slots_) {
-    const auto& s = slot->local_stats;
-    total.messages_sent += s.messages_sent;
-    total.messages_delivered += s.messages_delivered;
-    total.messages_dropped += s.messages_dropped;
-    total.bytes_sent += s.bytes_sent;
-    total.messages_lost += s.messages_lost;
-    total.messages_duplicated += s.messages_duplicated;
-    total.messages_reordered += s.messages_reordered;
-    total.hist_slots_shipped += s.hist_slots_shipped;
-    total.hist_resyncs += s.hist_resyncs;
-    for (std::size_t i = 0; i < net::NetStats::kNumTypes; ++i) {
-      total.messages_by_type[i] += s.messages_by_type[i];
-      total.bytes_by_type[i] += s.bytes_by_type[i];
-    }
-  }
+  for (const auto& slot : slots_) total += slot->local_stats;
   total.messages_dropped += crash_dropped_.load(std::memory_order_acquire);
   return total;
 }

@@ -6,6 +6,7 @@
 
 #include "adversary/byzantine.hpp"
 #include "adversary/capture.hpp"
+#include "objects/regular_object.hpp"
 #include "wire/codec.hpp"
 
 namespace rr::adversary {
@@ -49,7 +50,8 @@ TEST(StrategyNames, RoundTrip) {
   for (const auto k :
        {StrategyKind::Silent, StrategyKind::Amnesiac, StrategyKind::Forger,
         StrategyKind::Accuser, StrategyKind::Equivocator,
-        StrategyKind::Stagger, StrategyKind::Collude, StrategyKind::Random}) {
+        StrategyKind::Stagger, StrategyKind::Collude, StrategyKind::Random,
+        StrategyKind::StaleReplay}) {
     EXPECT_EQ(strategy_from_name(to_string(k)), k);
   }
 }
@@ -198,6 +200,104 @@ TEST(AbdFlavor, ForgerPoisonsQueries) {
   auto out = f.deliver(*obj, f.topo.reader(0), wire::AbdQueryMsg{2});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_GT(std::get<wire::AbdQueryAckMsg>(out[0].msg).tsval.ts, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// stalereplay (regular flavor): one honest snapshot per peer, replayed on
+// every later read with fresh framing.
+// ---------------------------------------------------------------------------
+
+struct StaleReplayFixture : Fixture {
+  std::unique_ptr<net::Process> stale = make(StrategyKind::StaleReplay,
+                                             Flavor::Regular);
+  objects::RegularObject honest{topo, 0};
+
+  wire::WMsg w_msg(Ts ts) {
+    return wire::WMsg{ts, TsVal{ts, "v"}, WTuple{TsVal{ts, "v"}, {}}};
+  }
+  /// Feeds one writer message to both objects.
+  void write_both(const wire::Message& m) {
+    deliver(honest, topo.writer(), m);
+    deliver(*stale, topo.writer(), m);
+  }
+  static const wire::HistReadAckMsg& hist_ack(const std::vector<Outgoing>& o) {
+    EXPECT_EQ(o.size(), 1u);
+    return std::get<wire::HistReadAckMsg>(o.at(0).msg);
+  }
+};
+
+TEST(StaleReplayStrategy, FirstContactHonestThenReplaysRestamped) {
+  StaleReplayFixture f;
+  for (Ts ts = 1; ts <= 3; ++ts) {
+    f.write_both(f.pw_msg(ts));
+    f.write_both(f.w_msg(ts));
+  }
+  const wire::HistReadMsg first{1, 5, 0, 0};
+  const auto honest_out = f.deliver(f.honest, f.topo.reader(0), first);
+  const auto snap_out = f.deliver(*f.stale, f.topo.reader(0), first);
+  const auto snapshot = f.hist_ack(snap_out);
+  EXPECT_EQ(snapshot, f.hist_ack(honest_out)) << "first contact is honest";
+  EXPECT_TRUE(snapshot.history.contains(3));
+
+  for (Ts ts = 4; ts <= 6; ++ts) {
+    f.write_both(f.pw_msg(ts));
+    f.write_both(f.w_msg(ts));
+  }
+  const auto later = f.hist_ack(
+      f.deliver(*f.stale, f.topo.reader(0), wire::HistReadMsg{2, 9, 0, 3}));
+  auto expected = snapshot;
+  expected.round = 2;
+  expected.tsr = 9;
+  EXPECT_EQ(later, expected) << "old payload, fresh round/tsr";
+  EXPECT_FALSE(later.history.contains(6));
+
+  // The other reader's first contact is its own honest snapshot.
+  const wire::HistReadMsg other{1, 4, 0, 0};
+  EXPECT_EQ(f.hist_ack(f.deliver(*f.stale, f.topo.reader(1), other)),
+            f.hist_ack(f.deliver(f.honest, f.topo.reader(1), other)));
+}
+
+TEST(StaleReplayStrategy, ReplayedPayloadIsByteStableAcrossWrites) {
+  StaleReplayFixture f;
+  f.write_both(f.pw_msg(1));
+  f.write_both(f.w_msg(1));
+  auto snapshot = f.hist_ack(
+      f.deliver(*f.stale, f.topo.reader(0), wire::HistReadMsg{1, 1, 0, 0}));
+  const Ts have = std::prev(snapshot.history.end())->first;
+  for (Ts ts = 2; ts <= 1'001; ++ts) {
+    f.write_both(f.pw_msg(ts));
+    f.write_both(f.w_msg(ts));
+    if (ts % 50 != 0) continue;
+    const auto tsr = static_cast<ReaderTs>(ts);
+    const auto out = f.deliver(*f.stale, f.topo.reader(0),
+                               wire::HistReadMsg{1, tsr, 0, have});
+    snapshot.tsr = tsr;
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(wire::encode(out[0].msg), wire::encode(wire::Message{snapshot}))
+        << "after write " << ts;
+  }
+}
+
+TEST(StaleReplayStrategy, WriteAcksMatchAnHonestObjectFedTheSameReads) {
+  // The embedded object must keep seeing every read: its reader-timestamp
+  // row rides on each PW ack the writer collects.
+  StaleReplayFixture f;
+  Ts have[2] = {0, 0};
+  for (Ts ts = 1; ts <= 200; ++ts) {
+    const auto honest_ack = f.deliver(f.honest, f.topo.writer(), f.pw_msg(ts));
+    const auto stale_ack = f.deliver(*f.stale, f.topo.writer(), f.pw_msg(ts));
+    ASSERT_EQ(stale_ack.size(), 1u);
+    ASSERT_EQ(honest_ack.size(), 1u);
+    EXPECT_EQ(stale_ack[0].msg, honest_ack[0].msg) << "write " << ts;
+    f.write_both(f.w_msg(ts));
+    if (ts % 3 == 0) continue;
+    const int j = static_cast<int>(ts % 2);
+    const wire::HistReadMsg rd{1, static_cast<ReaderTs>(ts), 0, have[j]};
+    f.deliver(f.honest, f.topo.reader(j), rd);
+    const auto ack = f.hist_ack(f.deliver(*f.stale, f.topo.reader(j), rd));
+    have[j] = std::prev(ack.history.end())->first;
+  }
+  EXPECT_NE(f.honest.state().tsr, TsrRow(2, 0));
 }
 
 TEST(AllStrategies, KeepTheWriterLive) {

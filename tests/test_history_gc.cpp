@@ -11,9 +11,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <new>
 
+#include "adversary/byzantine.hpp"
 #include "adversary/capture.hpp"
 #include "core/regular_reader.hpp"
 #include "harness/deployment.hpp"
@@ -311,6 +313,79 @@ TEST(HistoryGc, VerdictsAndScheduleAreIdenticalWithGcOnAndOff) {
       EXPECT_EQ(ops[0][i].complete, ops[1][i].complete) << "op " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// A stale-replay replica does bounded work per read. It answers each reader's
+// first read honestly and replays that snapshot forever after, so the
+// reader's `have` for it never advances. Its embedded honest object must
+// still GC and ship short (discarded) deltas, or every read copies a suffix
+// as long as the run.
+// ---------------------------------------------------------------------------
+
+TEST(HistoryGc, StaleReplayReadCostDoesNotGrowWithHistory) {
+  const Resilience res = Resilience::optimal(1, 1, 2);
+  const Topology topo(2, res.num_objects);
+  auto obj = adversary::make_byzantine(adversary::StrategyKind::StaleReplay,
+                                       adversary::Flavor::Regular, topo, res,
+                                       0);
+  NullContext null;
+  auto deliver = [&](ProcessId from, wire::Message m) {
+    adversary::CapturingContext cap(null);
+    obj->on_message(cap, from, std::move(m));
+    return cap.take();
+  };
+  const auto s = static_cast<std::size_t>(res.num_objects);
+  constexpr int kWrites = 2'000;
+  Ts have[2] = {0, 0};  // each reader's mirror: only ever the snapshot
+  std::vector<std::uint64_t> read_allocs;
+  for (Ts ts = 1; ts <= kWrites; ++ts) {
+    const WTuple prev{TsVal{ts - 1, "v"}, init_tsrarray(s)};
+    deliver(topo.writer(), wire::PwMsg{ts, TsVal{ts, "v"}, prev});
+    deliver(topo.writer(),
+            wire::WMsg{ts, TsVal{ts, "v"}, WTuple{TsVal{ts, "v"}, {}}});
+    const int j = static_cast<int>(ts % 2);
+    const wire::HistReadMsg rd{1, static_cast<ReaderTs>(ts), 0, have[j]};
+    const std::uint64_t before = g_heap_allocs.load();
+    auto out = deliver(topo.reader(j), rd);
+    read_allocs.push_back(g_heap_allocs.load() - before);
+    ASSERT_EQ(out.size(), 1u);
+    const auto& ack = std::get<wire::HistReadAckMsg>(out[0].msg);
+    if (ts <= 2) {
+      have[j] = ack.history.empty() ? 0 : std::prev(ack.history.end())->first;
+    }
+  }
+  auto window = [&](std::size_t from) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = from; i < from + 100; ++i) sum += read_allocs[i];
+    return sum;
+  };
+  EXPECT_LE(window(read_allocs.size() - 100), window(100))
+      << "replayed reads allocate more as the history grows";
+}
+
+// Golden schedule of a DES run with a stale-replay replica, captured before
+// the replica's embedded object was fed a raised `have`: that change must
+// not move one message or byte.
+constexpr std::uint64_t kStaleReplayFingerprint = 0xb928104814d78fd1ULL;
+constexpr std::uint64_t kStaleReplayBytesSent = 154215;
+constexpr std::uint64_t kStaleReplayHistSlots = 886;
+
+TEST(HistoryGc, StaleReplayScheduleIsPinned) {
+  auto opts = gc_opts(1, 1, /*limit=*/0, 2024);
+  opts.faults.byzantine[0] = adversary::StrategyKind::StaleReplay;
+  opts.trace_fingerprint = true;
+  Deployment d(opts);
+  harness::MixedWorkloadOptions w;
+  w.writes = 60;
+  w.reads_per_reader = 40;
+  harness::mixed_workload(d, w);
+  d.run();
+  EXPECT_TRUE(d.check().ok()) << d.check().summary();
+  const auto stats = d.stats();
+  EXPECT_EQ(d.world().schedule_fingerprint(), kStaleReplayFingerprint);
+  EXPECT_EQ(stats.bytes_sent, kStaleReplayBytesSent);
+  EXPECT_EQ(stats.hist_slots_shipped, kStaleReplayHistSlots);
 }
 
 // ---------------------------------------------------------------------------

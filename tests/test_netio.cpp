@@ -218,6 +218,40 @@ TEST(BackoffTest, JitterStaysInsideTheBand) {
 }
 
 // ---------------------------------------------------------------------------
+// Event-loop wait: timers fire at their deadline, not at the next whole
+// millisecond.
+// ---------------------------------------------------------------------------
+
+TEST(WaitTimeoutTest, SubMillisecondDeadlineWaitsExactly) {
+  const Time now = 5'000'000'000;
+  const timespec w = netio::wait_timeout(now + 150'000, now);
+  EXPECT_EQ(w.tv_sec, 0);
+  EXPECT_EQ(w.tv_nsec, 150'000) << "150 us away waits 150 us, not 1 ms";
+  const timespec one = netio::wait_timeout(now + 1, now);
+  EXPECT_EQ(one.tv_sec, 0);
+  EXPECT_EQ(one.tv_nsec, 1);
+}
+
+TEST(WaitTimeoutTest, DueDeadlineDoesNotWait) {
+  const Time now = 5'000'000'000;
+  for (const Time deadline : {now, now - 1, Time{0}}) {
+    const timespec w = netio::wait_timeout(deadline, now);
+    EXPECT_EQ(w.tv_sec, 0);
+    EXPECT_EQ(w.tv_nsec, 0);
+  }
+}
+
+TEST(WaitTimeoutTest, FarOrNoDeadlineWaitsTheCap) {
+  const Time now = 5'000'000'000;
+  for (const Time deadline : {now + netio::kMaxWaitNs + 1,
+                              now + 7'000'000'000, ~Time{0}}) {
+    const timespec w = netio::wait_timeout(deadline, now);
+    EXPECT_EQ(w.tv_sec, 0);
+    EXPECT_EQ(w.tv_nsec, static_cast<long>(netio::kMaxWaitNs));
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The socket mesh and its fault proxy.
 // ---------------------------------------------------------------------------
 
