@@ -130,8 +130,17 @@ INSTANTIATE_TEST_SUITE_P(Backends, FaultPrimitivesOnBothBackends,
 // ---------------------------------------------------------------------------
 
 // Every new primitive composed at once stays bit-deterministic: same
-// scenario, same fingerprint, across repeated runs.
+// scenario, same fingerprint, across repeated runs -- and the schedule and
+// the fault counts are pinned, so any change to the order in which the
+// fault plane draws (loss, duplicate, hold, per-copy reorder) shows here.
 TEST(FaultPrimitives, DesRunsWithAllPrimitivesAreBitDeterministic) {
+  constexpr std::uint64_t kFingerprint = 0xdb335bc5642fea51ULL;
+  constexpr std::uint64_t kLost = 13;
+  constexpr std::uint64_t kDuplicated = 31;
+  constexpr std::uint64_t kReordered = 77;
+  constexpr std::uint64_t kDropped = 0;
+  constexpr std::uint64_t kDelivered = 295;
+  constexpr std::uint64_t kBytesSent = 19973;
   Scenario s = base_scenario(BackendKind::Sim);
   s.events.push_back(link_event(FaultEvent::Kind::Loss, 0.05));
   s.events.push_back(link_event(FaultEvent::Kind::Duplicate, 0.1));
@@ -176,6 +185,13 @@ TEST(FaultPrimitives, DesRunsWithAllPrimitivesAreBitDeterministic) {
   EXPECT_EQ(a.net.messages_lost, b.net.messages_lost);
   EXPECT_EQ(a.net.messages_duplicated, b.net.messages_duplicated);
   EXPECT_EQ(a.net.messages_reordered, b.net.messages_reordered);
+  EXPECT_EQ(a.fingerprint, kFingerprint);
+  EXPECT_EQ(a.net.messages_lost, kLost);
+  EXPECT_EQ(a.net.messages_duplicated, kDuplicated);
+  EXPECT_EQ(a.net.messages_reordered, kReordered);
+  EXPECT_EQ(a.net.messages_dropped, kDropped);
+  EXPECT_EQ(a.net.messages_delivered, kDelivered);
+  EXPECT_EQ(a.net.bytes_sent, kBytesSent);
 }
 
 // Clock skew shifts a process's Context::now() on the DES -- the global

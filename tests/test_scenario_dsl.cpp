@@ -122,6 +122,55 @@ TEST(ScenarioDsl, FixturesReproduceTheirRecordedVerdicts) {
   EXPECT_GE(expected_failures, 1);
 }
 
+// ---------------------------------------------------------------------------
+// Golden DES fingerprints: every committed scenario replays to the exact
+// schedule it has always produced. The other fingerprint tests only check
+// that two runs agree, so a change to the order of fault draws, hold
+// buffering or delay sampling would pass them; this table does not. A new
+// .scn must add its row here.
+// ---------------------------------------------------------------------------
+TEST(ScenarioDsl, CommittedScenariosReplayToPinnedFingerprints) {
+  struct Golden {
+    const char* file;  // relative to the source tree
+    std::uint64_t fingerprint;
+  };
+  const Golden kGoldens[] = {
+      {"scenarios/byz-stalereplay-regular.scn", 0xd25757be3d4db530ULL},
+      {"scenarios/coverage-abd.scn", 0x4ab22636ec9f6462ULL},
+      {"scenarios/coverage-auth.scn", 0x0a5fff9fe83e7214ULL},
+      {"scenarios/coverage-fastwrite.scn", 0x8d3fde71b2e7be25ULL},
+      {"scenarios/coverage-polling.scn", 0xae57ecf9e756207dULL},
+      {"scenarios/coverage-regular-opt.scn", 0x89b96f06a6a9233fULL},
+      {"scenarios/coverage-regular.scn", 0x112fd65063f2a4f6ULL},
+      {"scenarios/coverage-safe.scn", 0x49d03ae08fdec62eULL},
+      {"scenarios/hist-hardcap.scn", 0xcf927246327e4452ULL},
+      {"scenarios/legacy-byz.scn", 0xbaa8906d01bcf0c1ULL},
+      {"scenarios/legacy-byzchaos.scn", 0xa389d7e31dbd7490ULL},
+      {"scenarios/legacy-chaos.scn", 0xfaf8dbfe91ea2e36ULL},
+      {"scenarios/legacy-crash.scn", 0x774aa831b51b9398ULL},
+      {"scenarios/legacy-mixed.scn", 0x71c6c5befbb9494aULL},
+      {"scenarios/legacy-none.scn", 0xcdeab39bb56b25e5ULL},
+      {"tests/fixtures/scenarios/gray-soak.scn", 0xbec3bea146219838ULL},
+      {"tests/fixtures/scenarios/lossy-links.scn", 0xdcad359d7ea65f60ULL},
+      {"tests/fixtures/scenarios/poll-gray-stale-read.scn",
+       0xe13848d4fa6c5528ULL},
+      {"tests/fixtures/scenarios/shrunk-overload.scn", 0x788b01580898e7b4ULL},
+  };
+  const std::string root = std::string(RR_SOURCE_DIR) + "/";
+  // Every committed file has a row, so a new scenario cannot go unpinned.
+  const std::size_t committed =
+      scn_files(kLibraryDir).size() + scn_files(kFixtureDir).size();
+  EXPECT_EQ(std::size(kGoldens), committed);
+  for (const auto& g : kGoldens) {
+    SCOPED_TRACE(g.file);
+    const auto parsed = load_scenario_file(root + g.file);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    ASSERT_EQ(parsed.scenario.backend, BackendKind::Sim);
+    EXPECT_EQ(SweepEngine::run_cell(parsed.scenario).fingerprint,
+              g.fingerprint);
+  }
+}
+
 // The library directory also runs through the sweep engine as first-class
 // cells, with expect-aware failure counting.
 TEST(ScenarioDsl, LibraryRunsAsSweepCells) {
