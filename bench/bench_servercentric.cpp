@@ -28,7 +28,7 @@ struct ScStats {
 ScStats run_sc(int t, int b, int readers, int ops, std::uint64_t seed) {
   const Resilience res = Resilience::optimal(t, b, readers);
   const Topology topo(readers, res.num_objects);
-  sim::World world(sim::WorldOptions{seed, true, false, 50'000'000});
+  sim::World world(sim::WorldOptions{seed, false, 50'000'000});
   auto writer = std::make_unique<baselines::PollingWriter>(res, topo);
   auto* writer_ptr = writer.get();
   world.add_process(std::move(writer));

@@ -38,6 +38,16 @@ std::string backend_names() {
 
 namespace {
 
+/// The wall-clock backends can't stretch channel delays after the fact, so
+/// gray is an injected per-step delay on the slow-but-alive process:
+/// (factor - 1) x 20us approximates "answers everything, factor-of-N late"
+/// at this harness's message scale. 0 (healthy) for factor <= 1.
+std::uint64_t gray_step_ns(double factor) {
+  constexpr double kGrayStepNs = 20'000.0;
+  return factor > 1.0 ? static_cast<std::uint64_t>((factor - 1.0) * kGrayStepNs)
+                      : 0;
+}
+
 class SimBackend final : public Backend {
  public:
   explicit SimBackend(const BackendConfig& cfg) {
@@ -170,14 +180,7 @@ class ThreadBackend final : public Backend {
     cluster_->set_link_faults(lf);
   }
   void set_gray(ProcessId pid, double factor) override {
-    // Threads can't stretch channel delays after the fact, so gray is an
-    // injected per-step delay: (factor - 1) x 20us approximates "answers
-    // everything, factor-of-N late" at this harness's message scale.
-    constexpr double kGrayStepNs = 20'000.0;
-    const std::uint64_t ns =
-        factor > 1.0 ? static_cast<std::uint64_t>((factor - 1.0) * kGrayStepNs)
-                     : 0;
-    cluster_->set_gray(pid, ns);
+    cluster_->set_gray(pid, gray_step_ns(factor));
   }
   [[nodiscard]] bool timed_out() const override { return timed_out_; }
   [[nodiscard]] int num_processes() const override {
@@ -264,13 +267,7 @@ class NetBackend final : public Backend {
     mesh_->set_link_faults(lf);
   }
   void set_gray(ProcessId pid, double factor) override {
-    // Same mapping as the threads backend: gray is a per-frame delivery
-    // delay of (factor - 1) x 20us on the slow-but-alive node.
-    constexpr double kGrayStepNs = 20'000.0;
-    const std::uint64_t ns =
-        factor > 1.0 ? static_cast<std::uint64_t>((factor - 1.0) * kGrayStepNs)
-                     : 0;
-    mesh_->set_gray(pid, ns);
+    mesh_->set_gray(pid, gray_step_ns(factor));
   }
   [[nodiscard]] bool timed_out() const override { return timed_out_; }
   [[nodiscard]] int num_processes() const override {

@@ -151,12 +151,13 @@ class Backend {
   virtual void release_all(ProcessId pid) = 0;
 
   // Gray-failure library (see net::LinkFaults and docs/SCENARIO_DSL.md).
-  // Both substrates implement link faults and gray processes with shared
-  // NetStats accounting; clock skew is meaningful only under the DES.
+  // Every backend applies link faults and held channels through the shared
+  // net::FaultPlane / net::HeldChannels, with shared NetStats accounting;
+  // clock skew is meaningful only under the DES.
   //   - set_link_faults: seeded per-channel loss / duplication / reorder.
   //     Call after the last add_process and before start().
   //   - set_gray(p, factor): p stays correct but slow -- the DES multiplies
-  //     delays on p's channels, the cluster injects (factor-1) x 20us of
+  //     delays on p's channels, threads and net inject (factor-1) x 20us of
   //     stepping delay. factor <= 1 clears. Callable mid-run via post().
   //   - set_clock_skew(p, off): p's Context::now() reads shifted by `off`.
   //     Returns false where unsupported (threads: wall clocks don't lie).

@@ -5,14 +5,15 @@
 // legal -- delays are arbitrary). The gray-failure library deliberately
 // steps outside that model with seeded message LOSS and DUPLICATION, and
 // stays inside it with forced REORDERING (an extra scheduled delay, so
-// later sends overtake). Both backends consume this one configuration and
-// account the perturbations in the same net::NetStats counters, so a
-// scenario that loses 20% of one object's traffic behaves comparably on
-// the DES and on real threads.
+// later sends overtake). Every backend applies this one configuration
+// through net::FaultPlane (net/fault_plane.hpp), which also accounts the
+// perturbations in net::NetStats, so a scenario that loses 20% of one
+// object's traffic behaves comparably on the DES, on threads and over
+// sockets.
 //
-// Sampling is seeded and (on the DES) consumed in deterministic event
-// order from a dedicated RNG stream, so enabling a rule never perturbs the
-// base delay sampling of unaffected runs.
+// Sampling is seeded and drawn from dedicated RNG streams (on the DES, one
+// stream consumed in deterministic event order), so enabling a rule never
+// perturbs the base delay sampling of unaffected runs.
 #pragma once
 
 #include <vector>

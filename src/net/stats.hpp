@@ -1,6 +1,7 @@
-// Traffic statistics shared by every backend (the discrete-event simulator
-// and the threaded cluster account messages identically, so experiments can
-// compare byte/message counts across execution substrates).
+// Traffic statistics shared by every backend (the discrete-event simulator,
+// the threaded cluster and the loopback-TCP mesh account messages through
+// the same code, so experiments can compare byte/message counts across
+// execution substrates).
 #pragma once
 
 #include <array>
@@ -21,10 +22,10 @@ struct NetStats {
   std::uint64_t messages_dropped{0};  ///< sent to crashed processes
   std::uint64_t bytes_sent{0};
   // Link-fault perturbations (net::LinkFaults); zero unless a scenario
-  // installs a rule. Counted identically by both backends: a lost message
-  // was counted as sent but never delivered; a duplicated one delivers one
-  // extra copy (so delivered may exceed sent); a reordered one is delivered
-  // late but exactly once.
+  // installs a rule. Counted by net::FaultPlane on every backend: a lost
+  // message was counted as sent but never delivered; a duplicated one
+  // delivers one extra copy (so delivered may exceed sent); a reordered one
+  // is delivered late but exactly once.
   std::uint64_t messages_lost{0};
   std::uint64_t messages_duplicated{0};
   std::uint64_t messages_reordered{0};
@@ -33,9 +34,22 @@ struct NetStats {
   // Regular-storage history shipping (zero for every other protocol):
   // slots carried by HIST_ACK replies, and how many of those replies were
   // flagged resyncs (hard-capped object evicted past a live reader's
-  // watermark). Both backends account these at the same send boundary.
+  // watermark). Counted by account_send.
   std::uint64_t hist_slots_shipped{0};
   std::uint64_t hist_resyncs{0};
+
+  /// Counts one send of `msg`, `bytes` long on the wire, before any fault,
+  /// hold or crash decides its fate. Every backend calls this once per send.
+  void account_send(const wire::Message& msg, std::size_t bytes) {
+    messages_sent++;
+    messages_by_type[msg.index()]++;
+    bytes_sent += bytes;
+    bytes_by_type[msg.index()] += bytes;
+    if (const auto* ha = std::get_if<wire::HistReadAckMsg>(&msg)) {
+      hist_slots_shipped += ha->history.size();
+      hist_resyncs += ha->resync;
+    }
+  }
 
   /// Field-wise sum (backends that count per thread total their slots).
   NetStats& operator+=(const NetStats& o) {

@@ -77,11 +77,8 @@ ProcessId Mesh::add(std::unique_ptr<net::Process> p) {
 
 void Mesh::set_link_faults(const net::LinkFaults& lf) {
   RR_ASSERT(!started_);
-  link_faults_ = lf;
-  link_enabled_ = lf.any();
-  // Same forked-stream construction as the DES and the cluster, so a
-  // seeded rule samples the same way on every backend.
-  Rng seeder(mix64(lf.seed ^ 0x11fa'0175'0001ULL));
+  link_.install(lf);
+  Rng seeder = link_.sender_seeder();
   for (auto& n : nodes_) n->link_rng = seeder.fork();
 }
 
@@ -193,22 +190,13 @@ void Mesh::post(Time at, ProcessId pid, net::PostFn fn) {
 void Mesh::crash(ProcessId pid) {
   RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(nodes_.size()));
   node(pid).crashed.store(true, std::memory_order_release);
-  if (held_count_.load(std::memory_order_acquire) == 0) return;
+  if (!any_held_.load(std::memory_order_acquire)) return;
   std::uint64_t dropped = 0;
   {
+    // Channels stay held; only adjacent backlogs are discarded, so
+    // release() cannot resurrect a crashed process's traffic.
     std::lock_guard lock(chan_mu_);
-    // Channels stay held (status); only adjacent backlogs are discarded,
-    // so release() cannot resurrect a crashed process's traffic.
-    for (auto it = held_buffers_.begin(); it != held_buffers_.end();) {
-      const auto from = static_cast<ProcessId>(it->first >> 32);
-      const auto to = static_cast<ProcessId>(it->first & 0xffffffffu);
-      if (from != pid && to != pid) {
-        ++it;
-        continue;
-      }
-      dropped += it->second.size();
-      it = held_buffers_.erase(it);
-    }
+    dropped = held_.crash(pid);
   }
   if (dropped > 0) {
     crash_dropped_.fetch_add(dropped, std::memory_order_acq_rel);
@@ -224,80 +212,53 @@ void Mesh::hold(ProcessId from, ProcessId to) {
   RR_ASSERT(from >= 0 && from < static_cast<ProcessId>(nodes_.size()));
   RR_ASSERT(to >= 0 && to < static_cast<ProcessId>(nodes_.size()));
   std::lock_guard lock(chan_mu_);
-  held_chans_.insert(chan_key(from, to));
-  held_count_.store(held_chans_.size(), std::memory_order_release);
+  held_.hold(from, to);
+  any_held_.store(true, std::memory_order_release);
 }
 
 void Mesh::hold_all(ProcessId pid) {
   RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(nodes_.size()));
   std::lock_guard lock(chan_mu_);
-  for (ProcessId q = 0; q < static_cast<ProcessId>(nodes_.size()); ++q) {
-    if (q == pid) continue;  // the self-channel pid -> pid is never used
-    held_chans_.insert(chan_key(pid, q));
-    held_chans_.insert(chan_key(q, pid));
-  }
-  held_count_.store(held_chans_.size(), std::memory_order_release);
+  held_.hold_all(pid, num_processes());
+  any_held_.store(held_.any(), std::memory_order_release);
 }
 
 bool Mesh::held(ProcessId from, ProcessId to) const {
   std::lock_guard lock(chan_mu_);
-  return held_chans_.count(chan_key(from, to)) != 0;
+  return held_.held(from, to);
 }
 
 void Mesh::release(ProcessId from, ProcessId to) {
-  std::vector<Inject> buffered;
+  std::vector<net::Released> released;
   {
     std::lock_guard lock(chan_mu_);
-    const auto key = chan_key(from, to);
-    if (held_chans_.erase(key) == 0) return;
-    held_count_.store(held_chans_.size(), std::memory_order_release);
-    const auto it = held_buffers_.find(key);
-    if (it != held_buffers_.end()) {
-      buffered = std::move(it->second);
-      held_buffers_.erase(it);
-    }
+    held_.release(from, to, released);
+    any_held_.store(held_.any(), std::memory_order_release);
   }
-  if (buffered.empty()) return;
-  // FIFO re-injection into the destination's proxy, outside the channel
-  // lock. A concurrent send on the just-released channel may overtake the
-  // backlog -- legal under the asynchronous model (fresh delays on
-  // release, as under the DES).
-  Node& dest = node(to);
-  {
-    std::lock_guard lock(dest.inj_mu);
-    for (auto& env : buffered) {
-      add_pending(1);
-      dest.inj_msgs.push_back(std::move(env));
-    }
-  }
-  wake(dest);
+  reinject(released);
 }
 
 void Mesh::release_all(ProcessId pid) {
   RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(nodes_.size()));
-  std::vector<std::pair<ProcessId, std::vector<Inject>>> released;
+  std::vector<net::Released> released;
   {
     std::lock_guard lock(chan_mu_);
-    for (ProcessId q = 0; q < static_cast<ProcessId>(nodes_.size()); ++q) {
-      for (const auto key : {chan_key(pid, q), chan_key(q, pid)}) {
-        if (held_chans_.erase(key) == 0) continue;
-        const auto it = held_buffers_.find(key);
-        if (it == held_buffers_.end()) continue;
-        released.emplace_back(static_cast<ProcessId>(key & 0xffffffffu),
-                              std::move(it->second));
-        held_buffers_.erase(it);
-      }
-    }
-    held_count_.store(held_chans_.size(), std::memory_order_release);
+    held_.release_all(pid, released);
+    any_held_.store(held_.any(), std::memory_order_release);
   }
-  for (auto& [to, backlog] : released) {
-    Node& dest = node(to);
+  reinject(released);
+}
+
+void Mesh::reinject(std::vector<net::Released>& released) {
+  // FIFO re-injection into each destination's proxy. A concurrent send on
+  // a just-released channel may overtake the backlog -- legal under the
+  // asynchronous model (fresh delays on release, as under the DES).
+  for (auto& r : released) {
+    Node& dest = node(r.to);
     {
       std::lock_guard lock(dest.inj_mu);
-      for (auto& env : backlog) {
-        add_pending(1);
-        dest.inj_msgs.push_back(std::move(env));
-      }
+      add_pending(1);
+      dest.inj_msgs.push_back(std::move(r.env));
     }
     wake(dest);
   }
@@ -328,36 +289,21 @@ void Mesh::route(ProcessId from, ProcessId to, wire::Message msg) {
   // encoded_size() (pinned by the codec tests), so net byte counts stay
   // comparable with the DES and the cluster.
   const std::string payload = wire::encode(msg);
-  st.messages_sent++;
-  st.messages_by_type[msg.index()]++;
-  if (opts_.account_bytes) {
-    st.bytes_sent += payload.size();
-    st.bytes_by_type[msg.index()] += payload.size();
-  }
-  if (const auto* ha = std::get_if<wire::HistReadAckMsg>(&msg)) {
-    st.hist_slots_shipped += ha->history.size();
-    st.hist_resyncs += ha->resync;
-  }
+  st.account_send(msg, payload.size());
   if (crashed(from) || crashed(to)) {
     st.messages_dropped++;
     return;
   }
-  // Link faults, sender-side, in the DES's order: loss, then duplicate,
-  // then per-copy reorder below. Only the thread stepping `from` touches
-  // its link_rng.
-  int copies = 1;
-  const Time t = now();
-  if (link_enabled_) {
-    auto& lrng = sender.link_rng;
-    const auto& loss = link_faults_.loss;
-    if (loss.active(t) && loss.covers(from, to) && lrng.chance(loss.p)) {
-      st.messages_lost++;
+  // Fault sampling and hold buffering, sender-side (net/fault_plane.hpp).
+  // Only the thread stepping `from` touches its link_rng.
+  const Time t = link_.enabled() ? now() : 0;
+  const int copies = link_.admit(from, to, t, sender.link_rng, st);
+  if (copies == 0) return;
+  if (any_held_.load(std::memory_order_acquire)) {
+    std::lock_guard lock(chan_mu_);
+    if (held_.held(from, to)) {
+      held_.push(from, to, std::move(msg), copies);
       return;
-    }
-    const auto& dup = link_faults_.duplicate;
-    if (dup.active(t) && dup.covers(from, to) && lrng.chance(dup.p)) {
-      st.messages_duplicated++;
-      copies = 2;
     }
   }
   if (to == from) {
@@ -367,7 +313,7 @@ void Mesh::route(ProcessId from, ProcessId to, wire::Message msg) {
       std::lock_guard lock(sender.inj_mu);
       for (int c = 0; c < copies; ++c) {
         add_pending(1);
-        sender.inj_msgs.push_back(Inject{from, msg});
+        sender.inj_msgs.push_back(net::Envelope{from, msg});
       }
     }
     wake(sender);
@@ -376,22 +322,13 @@ void Mesh::route(ProcessId from, ProcessId to, wire::Message msg) {
   const std::string frame = wire::wrap_frame(payload);
   bool deferred = false;
   for (int c = 0; c < copies; ++c) {
-    bool reorder_this = false;
-    if (link_enabled_) {
-      const auto& re = link_faults_.reorder;
-      if (re.active(t) && re.covers(from, to) &&
-          sender.link_rng.chance(re.p)) {
-        st.messages_reordered++;
-        reorder_this = true;
-      }
-    }
     add_pending(1);
-    if (reorder_this) {
+    if (link_.reorder(from, to, t, sender.link_rng, st)) {
       // Defer the WRITE on the sender's own timer: the frame enters the
       // socket reorder_delay later, so fresher traffic on the channel
       // overtakes it. It was counted pending above, so quiescence waits.
       std::lock_guard lock(sender.timer_mu);
-      sender.heap.push_back(TimedItem{t + link_faults_.reorder_delay,
+      sender.heap.push_back(TimedItem{t + link_.reorder_delay(),
                                       sender.seq++, true, {}, to, frame});
       std::push_heap(sender.heap.begin(), sender.heap.end(),
                      [](const TimedItem& a, const TimedItem& b) {
@@ -420,21 +357,6 @@ void Mesh::append_frame(Node& n, ProcessId to, std::string_view frame) {
 // ---------------------------------------------------------------------------
 // Receive path (runs on the destination node's thread)
 // ---------------------------------------------------------------------------
-
-void Mesh::receive_frame(Node& n, ProcessId from, wire::Message&& msg) {
-  if (held_count_.load(std::memory_order_acquire) != 0) {
-    std::unique_lock lock(chan_mu_);
-    const auto key = chan_key(from, n.pid);
-    if (held_chans_.count(key) != 0) {
-      held_buffers_[key].push_back(Inject{from, std::move(msg)});
-      lock.unlock();
-      // "Messages remain in transit": a held buffer is NOT pending work.
-      finish_work(1);
-      return;
-    }
-  }
-  deliver_msg_step(n, from, msg);
-}
 
 void Mesh::fault_sleep(Node& n) {
   // Gray (slow-but-alive): every frame/step on the gray node lands late
@@ -682,7 +604,7 @@ void Mesh::read_peer(Node& n, ProcessId peer) {
   Peer& p = n.peers[static_cast<std::size_t>(peer)];
   char buf[65536];
   const auto sink = [this, &n, peer](wire::Message&& m) {
-    receive_frame(n, peer, std::move(m));
+    deliver_msg_step(n, peer, m);
   };
   for (;;) {
     const ssize_t r = ::read(p.fd.get(), buf, sizeof(buf));
@@ -847,7 +769,7 @@ void Mesh::service_timeouts(Node& n) {
 
 void Mesh::drain_inject(Node& n) {
   std::vector<net::PostFn> fns;
-  std::vector<Inject> msgs;
+  std::vector<net::Envelope> msgs;
   std::vector<ProcessId> severs;
   {
     std::lock_guard lock(n.inj_mu);

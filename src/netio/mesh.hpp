@@ -11,13 +11,15 @@
 //                  frame (counted), so in-transit accounting stays exact --
 //                  a real dead machine's kernel would RST and make the
 //                  in-flight count unknowable.
-//   hold/release   frames still cross the socket, but the receiving proxy
-//                  buffers them per channel instead of delivering
-//                  ("messages remain in transit"); release re-injects the
-//                  backlog FIFO. Crash discards adjacent backlogs.
-//   link faults    seeded loss/duplication/reorder sampled sender-side, in
-//                  deterministic per-sender order, from the same forked RNG
-//                  stream construction as the DES and the cluster; a
+//   hold/release   decided at send time, as on the DES and the cluster: a
+//                  send on a held channel is buffered per channel before
+//                  it is framed ("messages remain in transit"); release
+//                  re-injects the backlog FIFO into the destination's
+//                  proxy. Crash discards adjacent backlogs.
+//   link faults    seeded loss/duplication/reorder sampled sender-side by
+//                  net::FaultPlane, in deterministic per-sender order from
+//                  per-sender forked RNG streams (the cluster's
+//                  construction; the DES samples one unforked stream); a
 //                  reordered frame's write is deferred by reorder_delay.
 //   gray           per-frame delivery delay on the gray node (slow but
 //                  correct), mirroring the cluster's per-step injection.
@@ -30,11 +32,11 @@
 // false, which the harness maps to Backend::timed_out().
 //
 // Quiescence uses the cluster's scheme: an atomic pending-work counter
-// (+1 per accepted send copy or posted closure, -1 after delivery, drop, or
-// hold-buffering) and a condvar. Frames buffered on held channels are NOT
-// work. One caveat is inherent to real sockets: bytes already handed to a
-// kernel that loses the connection cannot be tracked, so the test-only
-// sever() hook must be called while quiescent.
+// (+1 per accepted send copy, re-injected held message or posted closure,
+// -1 after delivery or drop) and a condvar. Messages buffered on held
+// channels are NOT work. One caveat is inherent to real sockets: bytes
+// already handed to a kernel that loses the connection cannot be tracked,
+// so the test-only sever() hook must be called while quiescent.
 #pragma once
 
 #include <atomic>
@@ -48,11 +50,11 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "net/fault_plane.hpp"
 #include "net/faults.hpp"
 #include "net/process.hpp"
 #include "net/stats.hpp"
@@ -66,7 +68,6 @@ struct MeshOptions {
   std::uint64_t seed{1};
   /// Artificial per-delivery jitter (microseconds), as in the cluster.
   std::uint32_t max_jitter_us{0};
-  bool account_bytes{true};
   /// Frame payload cap handed to every FrameDecoder.
   std::uint32_t max_frame_bytes{wire::kMaxFramePayload};
   /// A frame stuck mid-read (or a handshake stuck mid-hello) longer than
@@ -103,6 +104,8 @@ class Mesh {
 
   /// Registration (before start() only); ids are dense in call order.
   ProcessId add(std::unique_ptr<net::Process> p);
+  /// Installs link faults (before start(), after the last add()): each node
+  /// samples from its own forked stream, touched only by its own thread.
   void set_link_faults(const net::LinkFaults& lf);
   void set_gray(ProcessId pid, std::uint64_t step_delay_ns);
 
@@ -141,11 +144,6 @@ class Mesh {
   void sever(ProcessId a, ProcessId b);
 
  private:
-  struct Inject {
-    ProcessId from;
-    wire::Message msg;
-  };
-
   /// One end of a connection to a peer, owned by the node's thread.
   struct Peer {
     Fd fd;
@@ -205,30 +203,26 @@ class Mesh {
 
     std::mutex inj_mu;
     std::vector<net::PostFn> inj_fns;
-    std::vector<Inject> inj_msgs;
+    std::vector<net::Envelope> inj_msgs;
     std::vector<ProcessId> sever_reqs;
 
     std::mutex timer_mu;
     std::vector<TimedItem> heap;
     std::uint64_t seq{0};
 
-    // Owner-thread transport counters.
-    std::uint64_t connects{0};
-    std::uint64_t connect_attempts{0};
-    std::uint64_t partial_timeouts{0};
-    std::uint64_t handshake_failures{0};
+    // Transport counters, written by the owner thread. Atomic because
+    // transport() may read them while the reconnect machinery runs, which
+    // it does even when the mesh is quiescent.
+    std::atomic<std::uint64_t> connects{0};
+    std::atomic<std::uint64_t> connect_attempts{0};
+    std::atomic<std::uint64_t> partial_timeouts{0};
+    std::atomic<std::uint64_t> handshake_failures{0};
 
     std::thread thread;
   };
 
   class MeshContext;
   friend class MeshContext;
-
-  static std::uint64_t chan_key(ProcessId from, ProcessId to) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
-            << 32) |
-           static_cast<std::uint32_t>(to);
-  }
 
   Node& node(ProcessId pid) { return *nodes_[static_cast<std::size_t>(pid)]; }
   const Node& node(ProcessId pid) const {
@@ -239,6 +233,9 @@ class Mesh {
   void route(ProcessId from, ProcessId to, wire::Message msg);
   void send_frame(Node& n, ProcessId to, std::string frame);
   void append_frame(Node& n, ProcessId to, std::string_view frame);
+  /// Hands released held-channel backlogs, in order, to each destination's
+  /// proxy (called outside chan_mu_).
+  void reinject(std::vector<net::Released>& released);
 
   // Node event loop.
   void node_main(Node& n);
@@ -260,7 +257,6 @@ class Mesh {
   void fire_timers(Node& n);
 
   // Receive path (runs on the destination node's thread).
-  void receive_frame(Node& n, ProcessId from, wire::Message&& msg);
   void deliver_msg_step(Node& n, ProcessId from, const wire::Message& msg);
   void deliver_fn_step(Node& n, net::PostFn fn);
   void fault_sleep(Node& n);
@@ -287,16 +283,14 @@ class Mesh {
   std::condition_variable quiesce_cv_;
   std::atomic<std::uint64_t> delivered_{0};
 
-  // Held channels: status and backlog split, as in the cluster, so crash
-  // can discard a backlog while the channel itself stays held.
+  // Held channels, guarded as in the cluster: one mutex, plus an atomic
+  // flag that keeps the no-holds send path lock-free.
   mutable std::mutex chan_mu_;
-  std::unordered_set<std::uint64_t> held_chans_;
-  std::unordered_map<std::uint64_t, std::vector<Inject>> held_buffers_;
-  std::atomic<std::size_t> held_count_{0};
+  net::HeldChannels held_;
+  std::atomic<bool> any_held_{false};  ///< held_.any(), stored under chan_mu_
   std::atomic<std::uint64_t> crash_dropped_{0};
 
-  net::LinkFaults link_faults_;
-  bool link_enabled_{false};
+  net::FaultPlane link_;
 };
 
 }  // namespace rr::netio

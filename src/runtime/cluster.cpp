@@ -76,9 +76,8 @@ ProcessId Cluster::add(std::unique_ptr<net::Process> p, bool active) {
 
 void Cluster::set_link_faults(const net::LinkFaults& lf) {
   RR_ASSERT(!started_);
-  link_faults_ = lf;
-  link_enabled_ = lf.any();
-  Rng seeder(mix64(lf.seed ^ 0x11fa'0175'0001ULL));
+  link_.install(lf);
+  Rng seeder = link_.sender_seeder();
   for (auto& slot : slots_) slot->link_rng = seeder.fork();
 }
 
@@ -296,7 +295,7 @@ void Cluster::timer_main() {
 
 template <class Item>
 void Cluster::enqueue_item(ProcessId pid, Item item, bool already_counted) {
-  constexpr bool kIsMsg = std::is_same_v<Item, MsgEnvelope>;
+  constexpr bool kIsMsg = std::is_same_v<Item, net::Envelope>;
   if (!already_counted) pending_.fetch_add(1, std::memory_order_acq_rel);
   auto& slot = *slots_[static_cast<std::size_t>(pid)];
   // Direct delivery: an idle active destination's step runs right here on
@@ -343,7 +342,7 @@ void Cluster::enqueue_item(ProcessId pid, Item item, bool already_counted) {
   if (was_empty) slot.cv.notify_one();
 }
 
-void Cluster::enqueue_msg(ProcessId pid, MsgEnvelope env,
+void Cluster::enqueue_msg(ProcessId pid, net::Envelope env,
                           bool already_counted) {
   enqueue_item(pid, std::move(env), already_counted);
 }
@@ -375,22 +374,11 @@ void Cluster::crash(ProcessId pid) {
   RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(slots_.size()));
   slots_[static_cast<std::size_t>(pid)]->crashed.store(
       true, std::memory_order_release);
-  if (held_count_.load(std::memory_order_acquire) == 0) return;
+  if (!any_held_.load(std::memory_order_acquire)) return;
   std::uint64_t dropped = 0;
   {
     std::lock_guard lock(chan_mu_);
-    // The channels stay held (that is status, kept in held_chans_); only
-    // their backlog is discarded, and the buffer storage is freed outright.
-    for (auto it = held_buffers_.begin(); it != held_buffers_.end();) {
-      const auto from = static_cast<ProcessId>(it->first >> 32);
-      const auto to = static_cast<ProcessId>(it->first & 0xffffffffu);
-      if (from != pid && to != pid) {
-        ++it;
-        continue;
-      }
-      dropped += it->second.size();
-      it = held_buffers_.erase(it);
-    }
+    dropped = held_.crash(pid);
   }
   if (dropped > 0) {
     crash_dropped_.fetch_add(dropped, std::memory_order_acq_rel);
@@ -407,71 +395,49 @@ void Cluster::hold(ProcessId from, ProcessId to) {
   RR_ASSERT(from >= 0 && from < static_cast<ProcessId>(slots_.size()));
   RR_ASSERT(to >= 0 && to < static_cast<ProcessId>(slots_.size()));
   std::lock_guard lock(chan_mu_);
-  held_chans_.insert(chan_key(from, to));
-  held_count_.store(held_chans_.size(), std::memory_order_release);
+  held_.hold(from, to);
+  any_held_.store(true, std::memory_order_release);
 }
 
 void Cluster::hold_all(ProcessId pid) {
   RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(slots_.size()));
   std::lock_guard lock(chan_mu_);
-  for (ProcessId q = 0; q < static_cast<ProcessId>(slots_.size()); ++q) {
-    if (q == pid) continue;  // the self-channel pid -> pid is never used
-    held_chans_.insert(chan_key(pid, q));
-    held_chans_.insert(chan_key(q, pid));
-  }
-  held_count_.store(held_chans_.size(), std::memory_order_release);
+  held_.hold_all(pid, num_processes());
+  any_held_.store(held_.any(), std::memory_order_release);
 }
 
 bool Cluster::held(ProcessId from, ProcessId to) const {
   std::lock_guard lock(chan_mu_);
-  return held_chans_.count(chan_key(from, to)) != 0;
+  return held_.held(from, to);
 }
 
 void Cluster::release(ProcessId from, ProcessId to) {
-  std::vector<MsgEnvelope> buffered;
+  std::vector<net::Released> released;
   {
     std::lock_guard lock(chan_mu_);
-    const auto key = chan_key(from, to);
-    if (held_chans_.erase(key) == 0) return;
-    held_count_.store(held_chans_.size(), std::memory_order_release);
-    const auto it = held_buffers_.find(key);
-    if (it != held_buffers_.end()) {
-      buffered = std::move(it->second);
-      held_buffers_.erase(it);
-    }
+    held_.release(from, to, released);
+    any_held_.store(held_.any(), std::memory_order_release);
   }
-  // FIFO re-injection outside the channel lock: a concurrent send on the
-  // just-released channel may overtake the backlog, which is legal under
-  // the asynchronous model (fresh delays on release, as in the DES).
-  for (auto& env : buffered) {
-    enqueue_msg(to, std::move(env), /*already_counted=*/false);
-  }
+  reinject(released);
 }
 
 void Cluster::release_all(ProcessId pid) {
   RR_ASSERT(pid >= 0 && pid < static_cast<ProcessId>(slots_.size()));
-  // (to, backlog) pairs collected under ONE lock acquisition, re-injected
-  // outside the lock (enqueue_msg takes slot locks; never nest them under
-  // chan_mu_).
-  std::vector<std::pair<ProcessId, std::vector<MsgEnvelope>>> released;
+  std::vector<net::Released> released;
   {
     std::lock_guard lock(chan_mu_);
-    for (ProcessId q = 0; q < static_cast<ProcessId>(slots_.size()); ++q) {
-      for (const auto key : {chan_key(pid, q), chan_key(q, pid)}) {
-        if (held_chans_.erase(key) == 0) continue;
-        const auto it = held_buffers_.find(key);
-        if (it == held_buffers_.end()) continue;
-        released.emplace_back(static_cast<ProcessId>(key & 0xffffffffu),
-                              std::move(it->second));
-        held_buffers_.erase(it);
-      }
-    }
-    held_count_.store(held_chans_.size(), std::memory_order_release);
+    held_.release_all(pid, released);
+    any_held_.store(held_.any(), std::memory_order_release);
   }
-  for (auto& [to, backlog] : released) {
-    for (auto& env : backlog) {
-      enqueue_msg(to, std::move(env), /*already_counted=*/false);
-    }
+  reinject(released);
+}
+
+void Cluster::reinject(std::vector<net::Released>& released) {
+  // A concurrent send on a just-released channel may overtake its backlog,
+  // which is legal under the asynchronous model (fresh delays on release,
+  // as in the DES).
+  for (auto& r : released) {
+    enqueue_msg(r.to, std::move(r.env), /*already_counted=*/false);
   }
 }
 
@@ -482,49 +448,23 @@ void Cluster::release_all(ProcessId pid) {
 void Cluster::route(ProcessId from, ProcessId to, wire::Message msg) {
   RR_ASSERT(from >= 0 && from < static_cast<ProcessId>(slots_.size()));
   RR_ASSERT(to >= 0 && to < static_cast<ProcessId>(slots_.size()));
-  // Sender-side accounting: only the thread currently stepping `from`
-  // calls route() for it, so its slot counters need no lock.
-  auto& sent = slots_[static_cast<std::size_t>(from)]->local_stats;
-  sent.messages_sent++;
-  sent.messages_by_type[msg.index()]++;
-  if (opts_.account_bytes) {
-    const std::size_t n = wire::encoded_size(msg);
-    sent.bytes_sent += n;
-    sent.bytes_by_type[msg.index()] += n;
-  }
-  if (const auto* ha = std::get_if<wire::HistReadAckMsg>(&msg)) {
-    sent.hist_slots_shipped += ha->history.size();
-    sent.hist_resyncs += ha->resync;
-  }
+  // Sender-side accounting and fault sampling: only the thread currently
+  // stepping `from` calls route() for it, so its slot counters and its
+  // link_rng need no lock.
+  Slot& sender = *slots_[static_cast<std::size_t>(from)];
+  sender.local_stats.account_send(msg, wire::encoded_size(msg));
   if (crashed(from) || crashed(to)) {
-    sent.messages_dropped++;
+    sender.local_stats.messages_dropped++;
     return;
   }
-  // Link faults, sender-side (same order as the DES: loss, then duplicate,
-  // then per-copy reorder in send_copy). The per-slot link_rng is safe
-  // without a lock because only the thread stepping `from` routes for it.
-  int copies = 1;
-  if (link_enabled_) {
-    auto& lrng = slots_[static_cast<std::size_t>(from)]->link_rng;
-    const Time t = now();
-    const auto& loss = link_faults_.loss;
-    if (loss.active(t) && loss.covers(from, to) && lrng.chance(loss.p)) {
-      sent.messages_lost++;
-      return;
-    }
-    const auto& dup = link_faults_.duplicate;
-    if (dup.active(t) && dup.covers(from, to) && lrng.chance(dup.p)) {
-      sent.messages_duplicated++;
-      copies = 2;
-    }
-  }
-  if (held_count_.load(std::memory_order_acquire) != 0) {
+  const Time t = link_.enabled() ? now() : 0;
+  const int copies =
+      link_.admit(from, to, t, sender.link_rng, sender.local_stats);
+  if (copies == 0) return;
+  if (any_held_.load(std::memory_order_acquire)) {
     std::lock_guard lock(chan_mu_);
-    const auto key = chan_key(from, to);
-    if (held_chans_.count(key) != 0) {
-      auto& buf = held_buffers_[key];
-      for (int c = 1; c < copies; ++c) buf.push_back(MsgEnvelope{from, msg});
-      buf.push_back(MsgEnvelope{from, std::move(msg)});
+    if (held_.held(from, to)) {
+      held_.push(from, to, std::move(msg), copies);
       return;
     }
   }
@@ -533,32 +473,31 @@ void Cluster::route(ProcessId from, ProcessId to, wire::Message msg) {
 }
 
 void Cluster::send_copy(ProcessId from, ProcessId to, wire::Message msg) {
-  if (link_enabled_) {
-    const auto& re = link_faults_.reorder;
+  if (link_.enabled()) {
+    Slot& sender = *slots_[static_cast<std::size_t>(from)];
     const Time t = now();
-    if (re.active(t) && re.covers(from, to) &&
-        slots_[static_cast<std::size_t>(from)]->link_rng.chance(re.p)) {
-      slots_[static_cast<std::size_t>(from)]->local_stats.messages_reordered++;
+    if (link_.reorder(from, to, t, sender.link_rng, sender.local_stats)) {
       // Defer the copy through the timer: it re-enters the destination
       // mailbox reorder_delay later, so fresher traffic on the same channel
       // overtakes it. post() counts the deferred copy as pending work, so
       // quiescence still waits for it.
-      post(t + link_faults_.reorder_delay, to,
+      post(t + link_.reorder_delay(), to,
            net::PostFn(
                [this, from, m = std::move(msg)](net::Context& ctx) mutable {
                  auto& slot = *slots_[static_cast<std::size_t>(ctx.self())];
-                 if (deliver_msg(ctx, slot, MsgEnvelope{from, std::move(m)})) {
+                 if (deliver_msg(ctx, slot,
+                                 net::Envelope{from, std::move(m)})) {
                    delivered_.fetch_add(1, std::memory_order_relaxed);
                  }
                }));
       return;
     }
   }
-  enqueue_msg(to, MsgEnvelope{from, std::move(msg)},
+  enqueue_msg(to, net::Envelope{from, std::move(msg)},
               /*already_counted=*/false);
 }
 
-bool Cluster::deliver_msg(net::Context& ctx, Slot& slot, MsgEnvelope env) {
+bool Cluster::deliver_msg(net::Context& ctx, Slot& slot, net::Envelope env) {
   // Gray (slow-but-alive): the process takes this step late but correctly.
   const auto gray = slot.gray_ns.load(std::memory_order_relaxed);
   if (gray > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(gray));
@@ -704,7 +643,7 @@ void Cluster::thread_main_unbatched(ProcessId pid) {
   auto& slot = *slots_[static_cast<std::size_t>(pid)];
   ClusterContext ctx(*this, pid);
   while (!stopping_.load(std::memory_order_relaxed)) {
-    MsgEnvelope env;
+    net::Envelope env;
     net::PostFn fn;
     bool is_fn = false;
     {

@@ -51,12 +51,11 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "net/fault_plane.hpp"
 #include "net/faults.hpp"
 #include "net/process.hpp"
 #include "net/stats.hpp"
@@ -68,9 +67,6 @@ struct ClusterOptions {
   /// Maximum artificial delivery jitter (microseconds, sampled uniformly;
   /// 0 disables). Applied by the receiving thread, so senders never block.
   std::uint32_t max_jitter_us{0};
-  /// Account encoded bytes for every message (same counting visitor as the
-  /// simulator, so cross-backend byte counts are comparable).
-  bool account_bytes{true};
   /// Round-trip every message through the binary codec before delivery.
   bool reserialize{false};
   /// Swap-drain batching (default). When false, every mailbox lock
@@ -139,11 +135,12 @@ class Cluster {
   [[nodiscard]] bool held(ProcessId from, ProcessId to) const;
 
   /// Installs probabilistic link faults (loss / duplication / reorder),
-  /// mirroring sim::World::set_link_faults. Must be called after the last
-  /// add() and before start(): each slot gets its own fault-sampling RNG
-  /// (route() for `from` only ever runs on the thread stepping `from`, so
-  /// the per-sender stream needs no lock). Reordered messages are deferred
-  /// through the timer by `lf.reorder_delay` wall-nanoseconds.
+  /// applied by net::FaultPlane as under sim::World. Must be called after
+  /// the last add() and before start(): each slot gets its own
+  /// fault-sampling RNG (route() for `from` only ever runs on the thread
+  /// stepping `from`, so the per-sender stream needs no lock). Reordered
+  /// messages are deferred through the timer by `lf.reorder_delay`
+  /// wall-nanoseconds.
   void set_link_faults(const net::LinkFaults& lf);
 
   /// Marks `pid` gray (slow-but-alive): every step it takes -- message
@@ -169,14 +166,6 @@ class Cluster {
  private:
   friend class ClusterContext;
 
-  /// Hot-lane envelope: what protocol traffic actually moves through the
-  /// mailbox. Posted closures travel in the cold lane (a plain
-  /// net::PostFn vector), so the hot lane never carries closure storage.
-  struct MsgEnvelope {
-    ProcessId from{kNoProcess};
-    wire::Message msg{};
-  };
-
   struct Slot {
     std::unique_ptr<net::Process> proc;
     bool active{false};
@@ -196,7 +185,9 @@ class Cluster {
     // --- producer side: guarded by mu ---------------------------------
     std::mutex mu;
     std::condition_variable cv;
-    std::vector<MsgEnvelope> inbox;      ///< hot lane: {from, msg}
+    /// Hot lane: protocol traffic only. Posted closures travel in the cold
+    /// lane, so the hot lane never carries closure storage.
+    std::vector<net::Envelope> inbox;
     std::vector<net::PostFn> cold_inbox; ///< cold lane: posted closures
     /// Consumed prefixes of the inbox lanes; advanced only by the
     /// per-message (unbatched) consumer, always 0 under swap-drain.
@@ -209,7 +200,7 @@ class Cluster {
     /// Double buffers: swap-drain exchanges them with the inbox lanes
     /// under one lock acquisition; clearing keeps capacity, so the
     /// steady state allocates nothing.
-    std::vector<MsgEnvelope> drain;
+    std::vector<net::Envelope> drain;
     std::vector<net::PostFn> cold_drain;
     /// Resume positions for incremental consumers (drive()).
     std::size_t drain_pos{0};
@@ -245,23 +236,20 @@ class Cluster {
     return a.at != b.at ? a.at > b.at : a.seq > b.seq;
   }
 
-  [[nodiscard]] static std::uint64_t chan_key(ProcessId from, ProcessId to) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
-            << 32) |
-           static_cast<std::uint32_t>(to);
-  }
-
   void route(ProcessId from, ProcessId to, wire::Message msg);
   /// One physical copy leaving `from`: applies the reorder rule (deferring
   /// the copy through the timer) or enqueues it normally.
   void send_copy(ProcessId from, ProcessId to, wire::Message msg);
+  /// Enqueues released held-channel backlogs, in order (called outside
+  /// chan_mu_: enqueue_msg takes slot locks, never nested under it).
+  void reinject(std::vector<net::Released>& released);
   /// Appends to `pid`'s hot/cold lane -- unless the destination is an idle
   /// active process, in which case the work is delivered directly on the
   /// calling thread (see direct_delivery_). `already_counted` says whether
   /// this work item was already added to pending_ (timer items are counted
   /// at post() time so quiescence never observes a gap between timer pop
   /// and enqueue). Notifies the consumer only on empty -> non-empty.
-  void enqueue_msg(ProcessId pid, MsgEnvelope env, bool already_counted);
+  void enqueue_msg(ProcessId pid, net::Envelope env, bool already_counted);
   void enqueue_fn(ProcessId pid, net::PostFn fn, bool already_counted);
   void finish_work_items(std::int64_t n);
   /// Spins (with yields) until `slot`'s stepping token is acquired,
@@ -278,7 +266,7 @@ class Cluster {
   /// Delivers one hot-lane envelope as a step of `pid` (crash checks,
   /// jitter, optional codec round-trip). Returns true when the message was
   /// actually delivered (vs. dropped). Does not touch pending_/delivered_.
-  bool deliver_msg(net::Context& ctx, Slot& slot, MsgEnvelope env);
+  bool deliver_msg(net::Context& ctx, Slot& slot, net::Envelope env);
   /// Runs one cold-lane closure as a step of `pid` (skipped if crashed).
   void deliver_fn(net::Context& ctx, Slot& slot, net::PostFn fn);
   /// Swaps both inbox lanes into the drain buffers (mu held by caller).
@@ -326,23 +314,19 @@ class Cluster {
   std::mutex quiesce_mu_;
   std::condition_variable quiesce_cv_;
 
-  // Held channels (cold path: guarded by one mutex; the atomic count keeps
-  // the no-holds fast path lock-free). Held *status* lives in held_chans_;
-  // held_buffers_ only carries channels with a backlog, so crash() can free
-  // a discarded buffer outright while the channel stays held.
+  // Held channels (cold path: guarded by one mutex; the atomic flag keeps
+  // the no-holds fast path lock-free).
   mutable std::mutex chan_mu_;
-  std::atomic<std::size_t> held_count_{0};
-  std::unordered_set<std::uint64_t> held_chans_;
-  std::unordered_map<std::uint64_t, std::vector<MsgEnvelope>> held_buffers_;
+  net::HeldChannels held_;
+  std::atomic<bool> any_held_{false};  ///< held_.any(), stored under chan_mu_
 
   /// Held-buffer messages discarded by crash(); kept apart from the
   /// per-slot counters because crash() may run on any thread.
   std::atomic<std::uint64_t> crash_dropped_{0};
 
-  // Gray-failure library state (see set_link_faults / set_gray). Both off
-  // by default; the transport fast path pays one branch.
-  net::LinkFaults link_faults_{};
-  bool link_enabled_{false};
+  // Link faults (see set_link_faults); off by default, so the transport
+  // fast path pays one branch.
+  net::FaultPlane link_;
 };
 
 }  // namespace rr::runtime

@@ -54,9 +54,8 @@ void World::set_delay_model(std::unique_ptr<DelayModel> m) {
 }
 
 void World::set_link_faults(const net::LinkFaults& lf) {
-  link_faults_ = lf;
-  link_enabled_ = lf.any();
-  link_rng_ = Rng(mix64(lf.seed ^ 0x11fa'0175'0000ULL));
+  link_.install(lf);
+  link_rng_ = link_.shared_stream();
 }
 
 void World::set_gray(ProcessId pid, double factor) {
@@ -153,39 +152,13 @@ void World::post(Time at, ProcessId pid, net::PostFn fn) {
 // Crashes and held channels
 // ---------------------------------------------------------------------------
 
-World::BufferIndex World::alloc_buffer() {
-  if (!buffer_free_.empty()) {
-    const BufferIndex idx = buffer_free_.back();
-    buffer_free_.pop_back();
-    return idx;
-  }
-  buffer_pool_.emplace_back();
-  return static_cast<BufferIndex>(buffer_pool_.size() - 1);
-}
-
-void World::recycle_buffer(BufferIndex idx) {
-  buffer_pool_[idx].clear();  // keeps capacity for the next hold wave
-  buffer_free_.push_back(idx);
-}
-
 void World::crash(ProcessId pid) {
   RR_ASSERT(pid >= 0 && pid < num_processes());
   procs_[static_cast<std::size_t>(pid)].crashed = true;
   // Discard buffers held on channels adjacent to the crashed process: those
   // messages could only ever be dropped at delivery, so freeing them now
   // keeps long chaos runs from pinning dead history payloads.
-  if (held_count_ == 0) return;
-  for (auto it = held_buffers_.begin(); it != held_buffers_.end();) {
-    const auto from = static_cast<ProcessId>(it->first >> 32);
-    const auto to = static_cast<ProcessId>(it->first & 0xffffffffu);
-    if (from != pid && to != pid) {
-      ++it;
-      continue;
-    }
-    stats_.messages_dropped += buffer_pool_[it->second].size();
-    recycle_buffer(it->second);
-    it = held_buffers_.erase(it);
-  }
+  stats_.messages_dropped += held_.crash(pid);
 }
 
 bool World::crashed(ProcessId pid) const {
@@ -193,68 +166,39 @@ bool World::crashed(ProcessId pid) const {
   return procs_[static_cast<std::size_t>(pid)].crashed;
 }
 
-void World::ensure_flag_capacity() {
-  const auto n = static_cast<std::size_t>(num_processes());
-  if (n <= flag_stride_) return;
-  std::vector<std::uint8_t> grown(n * n, 0);
-  for (std::size_t f = 0; f < flag_stride_; ++f) {
-    for (std::size_t t = 0; t < flag_stride_; ++t) {
-      grown[f * n + t] = held_flags_[f * flag_stride_ + t];
-    }
-  }
-  held_flags_ = std::move(grown);
-  flag_stride_ = n;
-}
-
 void World::hold(ProcessId from, ProcessId to) {
   RR_ASSERT(from >= 0 && from < num_processes());
   RR_ASSERT(to >= 0 && to < num_processes());
-  ensure_flag_capacity();
-  auto& flag =
-      held_flags_[static_cast<std::size_t>(from) * flag_stride_ +
-                  static_cast<std::size_t>(to)];
-  if (flag != 0) return;
-  flag = 1;
-  ++held_count_;
+  held_.hold(from, to);
 }
 
 void World::hold_all(ProcessId pid) {
-  for (ProcessId q = 0; q < num_processes(); ++q) {
-    if (q == pid) continue;  // the self-channel pid -> pid is never used
-    hold(pid, q);
-    hold(q, pid);
-  }
+  RR_ASSERT(pid >= 0 && pid < num_processes());
+  held_.hold_all(pid, num_processes());
 }
 
 bool World::held(ProcessId from, ProcessId to) const {
-  return chan_flag(from, to);
+  return held_.held(from, to);
 }
 
 void World::release(ProcessId from, ProcessId to) {
-  if (!chan_flag(from, to)) return;
-  held_flags_[static_cast<std::size_t>(from) * flag_stride_ +
-              static_cast<std::size_t>(to)] = 0;
-  --held_count_;
-  const auto it = held_buffers_.find(chan_key(from, to));
-  if (it == held_buffers_.end()) return;
-  const BufferIndex idx = it->second;
-  held_buffers_.erase(it);
-  // Re-inject with fresh delays from `now`, preserving send order via the
-  // monotonically increasing sequence numbers. Scheduling only touches the
-  // event slab, never the buffer pool, so draining in place is safe; the
-  // drained buffer goes back to the free list with its capacity intact.
-  for (auto& msg : buffer_pool_[idx]) {
-    const Time d = channel_delay(from, to);
-    schedule_delivery(from, to, std::move(msg), now_ + d);
-  }
-  recycle_buffer(idx);
+  held_.release(from, to, released_);
+  schedule_released();
 }
 
 void World::release_all(ProcessId pid) {
-  for (ProcessId q = 0; q < num_processes(); ++q) {
-    release(pid, q);
-    release(q, pid);
+  held_.release_all(pid, released_);
+  schedule_released();
+}
+
+void World::schedule_released() {
+  // Fresh delays from `now`; the increasing sequence numbers keep each
+  // channel's send order among equal delivery times.
+  for (auto& r : released_) {
+    const Time d = channel_delay(r.env.from, r.to);
+    schedule_delivery(r.env.from, r.to, std::move(r.env.msg), now_ + d);
   }
+  released_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -263,37 +207,12 @@ void World::release_all(ProcessId pid) {
 
 void World::do_send(ProcessId from, ProcessId to, wire::Message msg) {
   RR_ASSERT(to >= 0 && to < num_processes());
-  stats_.messages_sent++;
-  stats_.messages_by_type[msg.index()]++;
-  if (opts_.account_bytes) {
-    const std::size_t n = wire::encoded_size(msg);
-    stats_.bytes_sent += n;
-    stats_.bytes_by_type[msg.index()] += n;
-  }
-  if (const auto* ha = std::get_if<wire::HistReadAckMsg>(&msg)) {
-    stats_.hist_slots_shipped += ha->history.size();
-    stats_.hist_resyncs += ha->resync;
-  }
+  stats_.account_send(msg, wire::encoded_size(msg));
   // Link faults fire at send time, before hold buffering, so a held channel
-  // still loses/duplicates traffic. Draw order is fixed (loss, then
-  // duplicate, then per-copy reorder at scheduling) from the dedicated
-  // link RNG, keeping the base delay stream untouched.
-  int copies = 1;
-  if (link_enabled_) {
-    const auto& loss = link_faults_.loss;
-    if (loss.active(now_) && loss.covers(from, to) &&
-        link_rng_.chance(loss.p)) {
-      stats_.messages_lost++;
-      return;
-    }
-    const auto& dup = link_faults_.duplicate;
-    if (dup.active(now_) && dup.covers(from, to) &&
-        link_rng_.chance(dup.p)) {
-      stats_.messages_duplicated++;
-      copies = 2;
-    }
-  }
-  if (held_count_ != 0 && chan_flag(from, to)) {
+  // still loses/duplicates traffic (see net/fault_plane.hpp for the order).
+  const int copies = link_.admit(from, to, now_, link_rng_, stats_);
+  if (copies == 0) return;
+  if (held_.held(from, to)) {
     // A buffer on a channel adjacent to a crashed endpoint could only ever
     // be purged (crash() discards it; delivery would drop it), so don't
     // let post-crash sends refill it and pin memory until release.
@@ -302,11 +221,7 @@ void World::do_send(ProcessId from, ProcessId to, wire::Message msg) {
       stats_.messages_dropped++;
       return;
     }
-    auto [it, inserted] = held_buffers_.try_emplace(chan_key(from, to), 0);
-    if (inserted) it->second = alloc_buffer();
-    auto& buf = buffer_pool_[it->second];
-    for (int c = 1; c < copies; ++c) buf.push_back(msg);
-    buf.push_back(std::move(msg));
+    held_.push(from, to, std::move(msg), copies);
     return;
   }
   for (int c = 1; c < copies; ++c) schedule_with_faults(from, to, msg);
@@ -327,12 +242,8 @@ Time World::channel_delay(ProcessId from, ProcessId to) {
 void World::schedule_with_faults(ProcessId from, ProcessId to,
                                  wire::Message msg) {
   Time d = channel_delay(from, to);
-  if (link_enabled_) {
-    const auto& re = link_faults_.reorder;
-    if (re.active(now_) && re.covers(from, to) && link_rng_.chance(re.p)) {
-      stats_.messages_reordered++;
-      d += link_faults_.reorder_delay;
-    }
+  if (link_.reorder(from, to, now_, link_rng_, stats_)) {
+    d += link_.reorder_delay();
   }
   schedule_delivery(from, to, std::move(msg), now_ + d);
 }

@@ -33,20 +33,17 @@
 //   - Byte accounting uses wire::encoded_size(), a counting visitor that
 //     never materializes the encoded bytes.
 //   - Per-type stats are fixed arrays indexed by Message::variant index;
-//     the held-channel check is a packed-key flag table behind a
-//     held-channel count so the common no-holds case is a single branch.
+//     the held-channel check (net::HeldChannels) sits behind a held-channel
+//     count, so the common no-holds case is a single branch.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "net/fault_plane.hpp"
 #include "net/faults.hpp"
 #include "net/process.hpp"
 #include "net/stats.hpp"
@@ -61,9 +58,6 @@ using NetStats = net::NetStats;
 
 struct WorldOptions {
   std::uint64_t seed{1};
-  /// Account encoded bytes for every message (needed by the Section 5.1
-  /// experiments; small constant cost).
-  bool account_bytes{true};
   /// Round-trip every message through the binary codec. Proves automata
   /// depend only on message contents; on by default in tests.
   bool reserialize{false};
@@ -125,11 +119,12 @@ class World {
   void release_all(ProcessId pid);
   [[nodiscard]] bool held(ProcessId from, ProcessId to) const;
 
-  /// Installs probabilistic link faults (loss / duplication / reorder).
-  /// Sampling draws from a dedicated RNG stream seeded by `lf.seed`, so the
-  /// base delay sequence of unaffected channels is untouched. Loss and
-  /// duplication apply at send time (before hold buffering); reorder defers
-  /// a scheduled delivery by `lf.reorder_delay`.
+  /// Installs probabilistic link faults (loss / duplication / reorder),
+  /// applied by net::FaultPlane. Sampling draws from one dedicated RNG
+  /// stream seeded by `lf.seed`, so the base delay sequence of unaffected
+  /// channels is untouched. Loss and duplication apply at send time (before
+  /// hold buffering); reorder defers a scheduled delivery by
+  /// `lf.reorder_delay`.
   void set_link_faults(const net::LinkFaults& lf);
 
   /// Marks `pid` gray (slow-but-alive): sampled delays on every channel
@@ -219,6 +214,9 @@ class World {
   [[nodiscard]] Time channel_delay(ProcessId from, ProcessId to);
   /// Non-held scheduling with the reorder rule applied; used per copy.
   void schedule_with_faults(ProcessId from, ProcessId to, wire::Message msg);
+  /// Schedules everything in released_ with fresh delays from now, in
+  /// backlog order, then empties it.
+  void schedule_released();
   /// Executes one event plus, for deliveries, the whole run of queued
   /// deliveries with the same (time, dest). Returns events executed.
   std::uint64_t step_batch();
@@ -241,21 +239,6 @@ class World {
   void heap_push(EventIndex idx);
   [[nodiscard]] EventIndex heap_pop();
 
-  // Held-channel bookkeeping. Channel keys pack (from, to) into one u64;
-  // the flag table is a flat n*n byte array for O(1) membership tests.
-  [[nodiscard]] static std::uint64_t chan_key(ProcessId from, ProcessId to) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
-            << 32) |
-           static_cast<std::uint32_t>(to);
-  }
-  void ensure_flag_capacity();
-  [[nodiscard]] bool chan_flag(ProcessId from, ProcessId to) const {
-    const auto f = static_cast<std::size_t>(from);
-    const auto t = static_cast<std::size_t>(to);
-    return f < flag_stride_ && t < flag_stride_ &&
-           held_flags_[f * flag_stride_ + t] != 0;
-  }
-
   Options opts_;
   Rng rng_;
   Time now_{0};
@@ -269,27 +252,15 @@ class World {
   std::vector<EventIndex> free_;    ///< recycled slab slots
   std::vector<EventIndex> heap_;    ///< 4-ary min-heap of slab indices
 
-  // Held-channel buffers live in a pooled arena: each held channel owns one
-  // recycled std::vector<Message> (FIFO by construction -- buffers are only
-  // appended to, and drained whole on release/crash). Returning a drained
-  // buffer to the free list keeps its capacity, so steady-state hold/release
-  // waves buffer messages without per-message or per-wave allocation.
-  using BufferIndex = std::uint32_t;
-  [[nodiscard]] BufferIndex alloc_buffer();
-  void recycle_buffer(BufferIndex idx);
-
-  std::size_t held_count_{0};       ///< number of currently held channels
-  std::size_t flag_stride_{0};      ///< row width of held_flags_
-  std::vector<std::uint8_t> held_flags_;
-  std::unordered_map<std::uint64_t, BufferIndex> held_buffers_;
-  std::vector<std::vector<wire::Message>> buffer_pool_;
-  std::vector<BufferIndex> buffer_free_;
+  net::HeldChannels held_;
+  /// Reused release scratch, so hold/release waves allocate nothing at
+  /// steady state.
+  std::vector<net::Released> released_;
 
   // Gray-failure library state. All empty/disabled by default: the hot path
-  // pays one predictable branch (link_enabled_, gray_.empty()) per send.
-  net::LinkFaults link_faults_{};
-  bool link_enabled_{false};
-  Rng link_rng_{0};                 ///< dedicated stream for fault sampling
+  // pays one predictable branch (link faults off, gray_.empty()) per send.
+  net::FaultPlane link_;
+  Rng link_rng_{0};                 ///< the fault plane's one DES stream
   std::vector<double> gray_;        ///< per-pid delay multiplier (1 = none)
   std::vector<std::int64_t> skew_;  ///< per-pid local-clock offset
 

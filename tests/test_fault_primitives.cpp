@@ -1,9 +1,10 @@
 // Gray-failure fault library: the new primitives -- seeded loss /
 // duplication / reorder, asymmetric partitions, flapping channels,
 // slow-but-alive gray processes, clock skew -- behave identically enough
-// across both backends to share one scenario format: same NetStats
+// across all three backends to share one scenario format: same NetStats
 // accounting, same Scenario encoding, same verdict logic. Clock skew is
-// DES-only (wall clocks don't lie) and the Backend contract says so.
+// DES-only (wall clocks don't lie) and the Backend contract says so. The
+// shared net::FaultPlane draws are unit-tested at the end.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +13,7 @@
 #include "harness/protocol.hpp"
 #include "harness/sweep.hpp"
 #include "harness/workload.hpp"
+#include "net/fault_plane.hpp"
 
 namespace rr::harness {
 namespace {
@@ -38,13 +40,13 @@ FaultEvent link_event(FaultEvent::Kind kind, double p) {
   return ev;
 }
 
-class FaultPrimitivesOnBothBackends
+class FaultPrimitivesOnEveryBackend
     : public ::testing::TestWithParam<BackendKind> {};
 
 // Loss: messages vanish at send time, are counted, and (since reliable
 // channels are part of the liveness argument, not safety) any completed
 // operations still check out.
-TEST_P(FaultPrimitivesOnBothBackends, LossIsInjectedAndCounted) {
+TEST_P(FaultPrimitivesOnEveryBackend, LossIsInjectedAndCounted) {
   Scenario s = base_scenario(GetParam());
   s.events.push_back(link_event(FaultEvent::Kind::Loss, 0.25));
   s.expect_ok = false;  // dropped requests may legitimately stall quorums
@@ -53,7 +55,7 @@ TEST_P(FaultPrimitivesOnBothBackends, LossIsInjectedAndCounted) {
   EXPECT_EQ(v.violations, 0) << v.first_violation;  // safety holds regardless
 }
 
-TEST_P(FaultPrimitivesOnBothBackends, DuplicationIsInjectedAndCounted) {
+TEST_P(FaultPrimitivesOnEveryBackend, DuplicationIsInjectedAndCounted) {
   Scenario s = base_scenario(GetParam());
   s.events.push_back(link_event(FaultEvent::Kind::Duplicate, 0.4));
   const CellVerdict v = SweepEngine::run_cell(s);
@@ -61,7 +63,7 @@ TEST_P(FaultPrimitivesOnBothBackends, DuplicationIsInjectedAndCounted) {
   EXPECT_TRUE(v.ok) << v.first_violation;  // idempotent acks: dup is benign
 }
 
-TEST_P(FaultPrimitivesOnBothBackends, ReorderIsInjectedAndCounted) {
+TEST_P(FaultPrimitivesOnEveryBackend, ReorderIsInjectedAndCounted) {
   Scenario s = base_scenario(GetParam());
   FaultEvent ev = link_event(FaultEvent::Kind::Reorder, 0.5);
   ev.period = 30'000;  // extra delay >> the base delay band
@@ -73,8 +75,8 @@ TEST_P(FaultPrimitivesOnBothBackends, ReorderIsInjectedAndCounted) {
 
 // Asymmetric partition: one direction of every channel into (or out of) an
 // object is held for a window, then released; within the budget t the run
-// must stay wait-free on both substrates.
-TEST_P(FaultPrimitivesOnBothBackends, AsymmetricPartitionWithinBudgetIsOk) {
+// must stay wait-free on every substrate.
+TEST_P(FaultPrimitivesOnEveryBackend, AsymmetricPartitionWithinBudgetIsOk) {
   for (const auto kind :
        {FaultEvent::Kind::PartitionIn, FaultEvent::Kind::PartitionOut}) {
     Scenario s = base_scenario(GetParam());
@@ -89,7 +91,7 @@ TEST_P(FaultPrimitivesOnBothBackends, AsymmetricPartitionWithinBudgetIsOk) {
   }
 }
 
-TEST_P(FaultPrimitivesOnBothBackends, FlappingChannelWithinBudgetIsOk) {
+TEST_P(FaultPrimitivesOnEveryBackend, FlappingChannelWithinBudgetIsOk) {
   Scenario s = base_scenario(GetParam());
   FaultEvent ev;
   ev.kind = FaultEvent::Kind::Flap;
@@ -104,7 +106,7 @@ TEST_P(FaultPrimitivesOnBothBackends, FlappingChannelWithinBudgetIsOk) {
   EXPECT_TRUE(v.ok) << v.first_violation;
 }
 
-TEST_P(FaultPrimitivesOnBothBackends, GrayProcessStaysCorrectJustSlow) {
+TEST_P(FaultPrimitivesOnEveryBackend, GrayProcessStaysCorrectJustSlow) {
   Scenario s = base_scenario(GetParam());
   FaultEvent ev;
   ev.kind = FaultEvent::Kind::Gray;
@@ -117,7 +119,7 @@ TEST_P(FaultPrimitivesOnBothBackends, GrayProcessStaysCorrectJustSlow) {
   EXPECT_TRUE(v.ok) << v.first_violation;
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, FaultPrimitivesOnBothBackends,
+INSTANTIATE_TEST_SUITE_P(Backends, FaultPrimitivesOnEveryBackend,
                          ::testing::Values(BackendKind::Sim,
                                            BackendKind::Threads,
                                            BackendKind::Net),
@@ -249,6 +251,107 @@ TEST(FaultPrimitives, ThreadsOverloadDegradesToLivenessVerdict) {
   EXPECT_GT(v.ops_stuck, 0);
   EXPECT_NE(v.first_violation.find("liveness"), std::string::npos)
       << v.first_violation;
+}
+
+// ---------------------------------------------------------------------------
+// net::FaultPlane: the one implementation of the draws every backend takes.
+// Each test replays the expected draws on a twin of the caller's Rng, so
+// the order (loss, then duplicate, then one reorder per scheduled copy) and
+// the number of draws are both pinned.
+// ---------------------------------------------------------------------------
+
+net::LinkFaults all_rules(double loss, double dup, double reorder) {
+  net::LinkFaults lf;
+  lf.loss.p = loss;
+  lf.duplicate.p = dup;
+  lf.reorder.p = reorder;
+  return lf;
+}
+
+TEST(FaultPlane, DrawsLossThenDuplicateThenOneReorderPerCopy) {
+  net::FaultPlane plane;
+  plane.install(all_rules(0.2, 0.3, 0.5));
+  Rng rng(42);
+  Rng twin(42);
+  net::NetStats st;
+  std::uint64_t lost = 0, duplicated = 0, reordered = 0;
+  for (int i = 0; i < 2'000; ++i) {
+    const int copies = plane.admit(0, 1, 100, rng, st);
+    int expected = 1;
+    if (twin.chance(0.2)) {
+      expected = 0;
+      ++lost;
+    } else if (twin.chance(0.3)) {
+      expected = 2;
+      ++duplicated;
+    }
+    ASSERT_EQ(copies, expected) << "send " << i;
+    for (int c = 0; c < copies; ++c) {
+      const bool late = twin.chance(0.5);
+      reordered += late;
+      ASSERT_EQ(plane.reorder(0, 1, 100, rng, st), late) << "send " << i;
+    }
+  }
+  EXPECT_GT(lost, 0u);
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_EQ(st.messages_lost, lost);
+  EXPECT_EQ(st.messages_duplicated, duplicated);
+  EXPECT_EQ(st.messages_reordered, reordered);
+  EXPECT_EQ(rng(), twin()) << "the streams must still be aligned";
+}
+
+TEST(FaultPlane, LostMessageTakesNoFurtherDraw) {
+  net::FaultPlane plane;
+  plane.install(all_rules(1.0, 1.0, 1.0));
+  Rng rng(7);
+  Rng twin(7);
+  net::NetStats st;
+  EXPECT_EQ(plane.admit(2, 3, 0, rng, st), 0);
+  (void)twin.chance(1.0);  // the loss draw, and nothing else
+  EXPECT_EQ(rng(), twin());
+  EXPECT_EQ(st.messages_lost, 1u);
+  EXPECT_EQ(st.messages_duplicated, 0u);
+}
+
+TEST(FaultPlane, RulesDrawOnlyInsideTheirWindowAndScope) {
+  net::LinkFaults lf = all_rules(0.5, 0, 0);
+  lf.loss.from = 100;
+  lf.loss.until = 200;
+  lf.loss.pids = {3};
+  net::FaultPlane plane;
+  plane.install(lf);
+  net::NetStats st;
+  // How many draws one admit() took from a fresh stream (each chance() is
+  // one draw), found by realigning a twin stream.
+  const auto draws = [&](ProcessId from, ProcessId to, Time now) {
+    Rng rng(11);
+    (void)plane.admit(from, to, now, rng, st);
+    for (int k = 0; k <= 2; ++k) {
+      Rng twin(11);
+      for (int i = 0; i < k; ++i) (void)twin();
+      if (Rng(rng)() == twin()) return k;
+    }
+    return -1;
+  };
+  EXPECT_EQ(draws(3, 1, 99), 0) << "before `from`";
+  EXPECT_EQ(draws(3, 1, 100), 1) << "`from` is inclusive";
+  EXPECT_EQ(draws(1, 3, 199), 1) << "either endpoint is in scope";
+  EXPECT_EQ(draws(3, 1, 200), 0) << "`until` is exclusive";
+  EXPECT_EQ(draws(0, 1, 150), 0) << "channel outside the pids scope";
+  lf.loss.until = 0;  // no upper bound
+  plane.install(lf);
+  EXPECT_EQ(draws(3, 0, 1'000'000), 1);
+}
+
+TEST(FaultPlane, DisabledPlaneTakesNoDraws) {
+  net::FaultPlane plane;
+  Rng rng(3);
+  Rng twin(3);
+  net::NetStats st;
+  EXPECT_FALSE(plane.enabled());
+  EXPECT_EQ(plane.admit(0, 1, 5, rng, st), 1);
+  EXPECT_FALSE(plane.reorder(0, 1, 5, rng, st));
+  EXPECT_EQ(rng(), twin());
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ struct ScWorld {
   explicit ScWorld(int t, int b, int num_readers, std::uint64_t seed)
       : res(Resilience::optimal(t, b, num_readers)),
         topo(num_readers, res.num_objects),
-        world(sim::WorldOptions{seed, true, false, 50'000'000}) {
+        world(sim::WorldOptions{seed, false, 50'000'000}) {
     auto w = std::make_unique<baselines::PollingWriter>(res, topo);
     writer = w.get();
     world.add_process(std::move(w));

@@ -16,6 +16,7 @@
 
 #include "harness/deployment.hpp"
 #include "harness/workload.hpp"
+#include "net/fault_plane.hpp"
 #include "net/process.hpp"
 #include "sim/world.hpp"
 #include "wire/codec.hpp"
@@ -350,6 +351,47 @@ TEST(EventPool, SteadyStateDeliveryIsAllocationFree) {
       << "delivery hot path must not allocate at steady state";
 }
 
+TEST(EventPool, SteadyStateHoldReleaseWavesAreAllocationFree) {
+  // Chaos-style waves: hold every channel of one process, buffer traffic in
+  // both directions, release it all, deliver. Once the first wave has grown
+  // the backlog storage, later waves recycle it and allocate nothing.
+  struct Sink final : net::Process {
+    void on_message(net::Context&, ProcessId, const wire::Message&) override {}
+  };
+  World w;
+  w.set_delay_model(std::make_unique<FixedDelay>(10));
+  std::vector<ProcessId> pids;
+  for (int i = 0; i < 4; ++i) {
+    pids.push_back(w.add_process(std::make_unique<Sink>()));
+  }
+  const ProcessId hub = pids[0];
+  std::uint64_t delivered = 0;
+  auto wave = [&] {
+    w.hold_all(hub);
+    for (const ProcessId q : pids) {
+      if (q == hub) continue;
+      w.post(w.now() + 1, q, [hub](net::Context& ctx) {
+        for (Ts i = 1; i <= 50; ++i) ctx.send(hub, wire::WAckMsg{i});
+      });
+      w.post(w.now() + 1, hub, [q](net::Context& ctx) {
+        for (Ts i = 1; i <= 50; ++i) ctx.send(q, wire::WAckMsg{i});
+      });
+    }
+    w.run();  // every message lands in a held backlog
+    w.release_all(hub);
+    delivered += w.run();
+  };
+  wave();
+  wave();  // warm-up: backlogs, slab, heap and free list at working size
+  const std::uint64_t before = g_heap_allocs.load();
+  for (int i = 0; i < 10; ++i) wave();
+  const std::uint64_t allocs = g_heap_allocs.load() - before;
+  EXPECT_EQ(delivered, 12u * 300u);
+  EXPECT_EQ(w.stats().messages_delivered, 12u * 300u);
+  EXPECT_EQ(allocs, 0u)
+      << "hold/release waves must reuse backlog storage at steady state";
+}
+
 TEST(EventPool, SteadyStatePostedClosuresAreAllocationFree) {
   // PostFn gives posted closures small-buffer storage: once the slab has
   // grown, posting a harness-sized capture (pointers, ints, a small array)
@@ -384,6 +426,88 @@ TEST(EventPool, SteadyStatePostedClosuresAreAllocationFree) {
       << "posting and running small closures must not allocate at steady "
          "state";
   EXPECT_GT(sum, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// net::HeldChannels: the held-channel storage every backend shares.
+// ---------------------------------------------------------------------------
+
+/// (channel destination, sender, WAck timestamp) of each released message.
+std::vector<std::array<std::int64_t, 3>> drain(
+    const std::vector<net::Released>& out) {
+  std::vector<std::array<std::int64_t, 3>> seen;
+  for (const auto& r : out) {
+    seen.push_back({r.to, r.env.from,
+                    static_cast<std::int64_t>(
+                        std::get<wire::WAckMsg>(r.env.msg).ts)});
+  }
+  return seen;
+}
+
+TEST(HeldChannels, HoldAllCreatesNoSelfChannel) {
+  net::HeldChannels h;
+  EXPECT_FALSE(h.any());
+  h.hold_all(1, 3);
+  EXPECT_TRUE(h.any());
+  EXPECT_FALSE(h.held(1, 1)) << "self-channel must not be held";
+  EXPECT_TRUE(h.held(1, 0));
+  EXPECT_TRUE(h.held(0, 1));
+  EXPECT_TRUE(h.held(1, 2));
+  EXPECT_TRUE(h.held(2, 1));
+  EXPECT_FALSE(h.held(0, 2));
+  EXPECT_FALSE(h.held(2, 0));
+  EXPECT_FALSE(h.held(7, 1)) << "beyond the covered processes";
+}
+
+TEST(HeldChannels, ReleaseAllIsFifoPerChannelInFixedChannelOrder) {
+  net::HeldChannels h;
+  h.hold_all(1, 3);
+  h.push(2, 1, wire::WAckMsg{1}, 1);
+  h.push(1, 0, wire::WAckMsg{2}, 1);
+  h.push(0, 1, wire::WAckMsg{3}, 2);  // a duplicated send: two copies
+  h.push(1, 2, wire::WAckMsg{4}, 1);
+  h.push(1, 0, wire::WAckMsg{5}, 1);
+  h.push(2, 1, wire::WAckMsg{6}, 1);
+  std::vector<net::Released> out;
+  h.release_all(1, out);
+  // (1,q) then (q,1) for ascending q; each backlog in send order.
+  const std::vector<std::array<std::int64_t, 3>> expected = {
+      {0, 1, 2}, {0, 1, 5},             // 1 -> 0
+      {1, 0, 3}, {1, 0, 3},             // 0 -> 1
+      {2, 1, 4},                        // 1 -> 2
+      {1, 2, 1}, {1, 2, 6},             // 2 -> 1
+  };
+  EXPECT_EQ(drain(out), expected);
+  EXPECT_FALSE(h.any());
+  EXPECT_FALSE(h.held(0, 1));
+  out.clear();
+  h.release(0, 1, out);  // releasing a free channel is a no-op
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(HeldChannels, CrashDiscardsOnlyAdjacentBacklogs) {
+  net::HeldChannels h;
+  h.hold(0, 1);
+  // Buffered before the later holds grow the table: growth keeps it.
+  for (Ts i = 1; i <= 3; ++i) h.push(0, 1, wire::WAckMsg{i}, 1);
+  h.hold(1, 2);
+  h.hold(2, 0);
+  h.hold(2, 3);
+  h.hold(3, 2);  // held, but never gets a backlog
+  h.push(1, 2, wire::WAckMsg{10}, 2);
+  h.push(2, 0, wire::WAckMsg{20}, 1);
+  h.push(2, 3, wire::WAckMsg{30}, 1);
+  EXPECT_EQ(h.crash(2), 4u) << "1->2 (two copies), 2->0 and 2->3";
+  EXPECT_EQ(h.crash(2), 0u) << "nothing left to discard";
+  EXPECT_TRUE(h.held(1, 2)) << "channels stay held after a crash";
+  EXPECT_TRUE(h.held(3, 2));
+  std::vector<net::Released> out;
+  h.release(1, 2, out);
+  EXPECT_TRUE(out.empty());
+  h.release(0, 1, out);  // not adjacent to 2: its backlog survives
+  const std::vector<std::array<std::int64_t, 3>> expected = {
+      {1, 0, 1}, {1, 0, 2}, {1, 0, 3}};
+  EXPECT_EQ(drain(out), expected);
 }
 
 }  // namespace
