@@ -7,6 +7,8 @@
 // shared net::FaultPlane draws are unit-tested at the end.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <string>
 
 #include "harness/deployment.hpp"
@@ -117,6 +119,43 @@ TEST_P(FaultPrimitivesOnEveryBackend, GrayProcessStaysCorrectJustSlow) {
   s.events.push_back(ev);
   const CellVerdict v = SweepEngine::run_cell(s);
   EXPECT_TRUE(v.ok) << v.first_violation;
+}
+
+// The send path's order -- duplicate, then hold, then reorder only for
+// copies actually scheduled -- is the same on every backend: with every
+// rule certain to fire, a held channel buffers both copies of each send,
+// and neither copy takes a reorder draw, now or on release.
+TEST_P(FaultPrimitivesOnEveryBackend, HeldCopiesAreBufferedAndNeverReordered) {
+  struct Sink final : net::Process {
+    void on_message(net::Context&, ProcessId, const wire::Message&) override {
+      received.fetch_add(1, std::memory_order_relaxed);
+    }
+    std::atomic<int> received{0};
+  };
+  auto backend = make_backend(GetParam(), BackendConfig{});
+  backend->add_process(std::make_unique<Sink>());
+  auto sink = std::make_unique<Sink>();
+  const Sink* to = sink.get();
+  backend->add_process(std::move(sink));
+  net::LinkFaults lf;
+  lf.duplicate.p = 1.0;
+  lf.reorder.p = 1.0;
+  backend->set_link_faults(lf);
+  backend->start();
+  backend->hold(0, 1);
+  backend->post(0, 0, [](net::Context& ctx) {
+    for (Ts i = 1; i <= 5; ++i) ctx.send(1, wire::WAckMsg{i});
+  });
+  backend->run();
+  EXPECT_EQ(to->received.load(), 0) << "held messages remain in transit";
+  backend->release(0, 1);
+  backend->run();
+  EXPECT_EQ(to->received.load(), 10);
+  const net::NetStats st = backend->stats();
+  EXPECT_EQ(st.messages_sent, 5u);
+  EXPECT_EQ(st.messages_duplicated, 5u);
+  EXPECT_EQ(st.messages_reordered, 0u);
+  EXPECT_EQ(st.messages_delivered, 10u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, FaultPrimitivesOnEveryBackend,
