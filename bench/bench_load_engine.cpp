@@ -177,9 +177,9 @@ int run_suite(bool quick) {
   table.print();
   std::printf(
       "\nsojourn = arrival -> completion (queueing included), backend clock "
-      "units.\nThe retired column is what the batch checker would have had "
-      "to keep resident;\npeak live is what the windowed checker actually "
-      "kept.\n\n");
+      "units.\nThe retired column is what a window-0 (retain-all) checker "
+      "would have had to keep\nresident; peak live is what the windowed "
+      "checker actually kept.\n\n");
 
   FILE* out = std::fopen("BENCH_load_engine.json", "w");
   if (out == nullptr) {

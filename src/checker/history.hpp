@@ -1,7 +1,7 @@
 // Operation-history recording and consistency checking.
 //
-// Harnesses record every operation invocation/response into a HistoryLog;
-// the checkers then verify the paper's correctness conditions post-hoc:
+// Harnesses record every operation invocation/response into a HistoryLog,
+// which verifies the paper's correctness conditions as the run goes:
 //
 //   safety     (Section 2.2): a READ not concurrent with any WRITE returns
 //                the value of the last preceding WRITE (or the initial value).
@@ -15,6 +15,18 @@
 //
 // Writes are identified by their writer timestamps (1, 2, 3, ...); the
 // initial value is timestamp 0.
+//
+// Reporting rules. They fix the violation strings and their order, not
+// which histories pass:
+//   - well-formedness first: writer-timestamp density in invocation order,
+//     then client overlaps grouped by client (writer, then readers by index);
+//   - then one entry per violating read, in log order. Regularity checks
+//     condition (2), then (1), then (3), and reports only the first that
+//     fails ((2) and (3) cannot both fail: the writer is sequential);
+//   - atomicity inversions last, one per late read, naming its strongest
+//     preceding read: highest ts, then earliest response, then log order.
+// tests/reference_checker.hpp states the same rules as direct scans over a
+// complete history; the tests require byte-identical reports from both.
 #pragma once
 
 #include <cstdint>
@@ -28,19 +40,19 @@
 
 namespace rr::checker {
 
-struct StreamState;  // windowed streaming checker (checker/window.hpp)
+struct StreamState;  // the streaming verifier (history.cpp)
 
-/// Which register property the streaming checker verifies online. Mirrors
-/// harness::Semantics without depending on the harness layer.
+/// Which register property a log verifies. Mirrors harness::Semantics
+/// without depending on the harness layer.
 enum class Property { Safe, Regular, Atomic };
 
-/// Residency observability for one log (meaningful in both modes: with the
-/// window disabled `retired` is 0 and `peak_live` is simply the total).
+/// Residency observability for one log (with window 0 `retired` is 0 and
+/// `peak_live` is simply the total).
 struct WindowStats {
-  std::size_t window{0};        ///< configured retirement batch size (0 = off)
-  std::uint64_t retired{0};     ///< ops verified and retired so far
-  std::uint64_t peak_live{0};   ///< high-watermark of resident (unretired) ops
-  std::uint64_t live{0};        ///< currently resident ops
+  std::size_t window{0};       ///< retirement batch size (0 = retain all)
+  std::uint64_t retired{0};    ///< ops verified and retired so far
+  std::uint64_t peak_live{0};  ///< high-watermark of resident (unretired) ops
+  std::uint64_t live{0};       ///< currently resident ops
 };
 
 struct OpRecord {
@@ -69,20 +81,22 @@ struct CheckReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Thread-safe append-only operation log (shared by the simulator harnesses
-/// and the threaded runtime).
+/// Thread-safe operation log and streaming checker (shared by the simulator
+/// harnesses and the threaded runtime).
 ///
-/// Two modes. In the default batch mode every op is retained forever and the
-/// free-function checkers below run post-hoc over `snapshot()`. With
-/// `enable_window()` the log becomes a *streaming* checker: once every op
-/// that could overlap the oldest resident op has completed, that op is
-/// verified online (same conditions, same violation messages as the batch
-/// checkers) and retired, so steady-state memory is O(window + in-flight)
-/// and a soak can run forever. `final_check()` then combines the retired
-/// prefix's verdict with a batch pass over the residual suffix.
+/// Ops are appended in invocation order. With a nonzero window, once every
+/// op that could overlap the oldest resident op has completed, that op is
+/// verified online and retired, so steady-state memory is O(window +
+/// in-flight) and a soak can run forever. Retirement is attempted whenever
+/// at least `window` ops are resident; an op is only retired once nothing
+/// live or future can overlap it, so a stuck (incomplete) op pins the
+/// window. Window 0 retains every op and never retires.
 class HistoryLog {
  public:
-  HistoryLog();
+  /// `property` is what retirement verifies. It is fixed for the log's
+  /// lifetime because retired ops are gone; with window 0 it is unused.
+  explicit HistoryLog(std::size_t window = 0,
+                      Property property = Property::Regular);
   ~HistoryLog();
   HistoryLog(const HistoryLog&) = delete;
   HistoryLog& operator=(const HistoryLog&) = delete;
@@ -96,27 +110,15 @@ class HistoryLog {
                              const Value& value);
   void record_read_response(std::size_t handle, Time at, const TsVal& tsval);
 
-  /// Switches to windowed streaming mode. Must be called before the first
-  /// op is recorded; `property` fixes what the streaming verifier checks
-  /// (it cannot be changed later -- retired ops are gone). Retirement is
-  /// attempted whenever more than `window` ops are resident; an op is only
-  /// retired once nothing live or future can overlap it, so a stuck
-  /// (incomplete) op pins the window -- retirement never outruns what is
-  /// verifiable.
-  void enable_window(std::size_t window, Property property);
-
-  [[nodiscard]] bool windowed() const;
-  /// The property fixed by enable_window(); requires windowed().
-  [[nodiscard]] Property window_property() const;
   [[nodiscard]] WindowStats window_stats() const;
 
-  /// Windowed mode only: the retired prefix's accumulated verdict plus a
-  /// batch pass over the residual ops, assembled exactly like
-  /// check_well_formed + the property checker on the full history. Const:
-  /// may be called repeatedly, always over the current state.
-  [[nodiscard]] CheckReport final_check() const;
+  /// Well-formedness plus `property` over the whole history: the retired
+  /// prefix's verdict continued over the residual ops. Requires window 0 or
+  /// the constructed property. Const: may be called repeatedly, always over
+  /// the current state.
+  [[nodiscard]] CheckReport check(Property property) const;
 
-  /// Residual (unretired) ops. In batch mode this is the full history.
+  /// Residual (unretired) ops. With window 0 this is the full history.
   [[nodiscard]] std::vector<OpRecord> snapshot() const;
   /// Total ops ever recorded (including retired).
   [[nodiscard]] std::size_t size() const;
@@ -124,8 +126,8 @@ class HistoryLog {
   [[nodiscard]] std::size_t completed_total() const;
 
   /// Order-exact fold over the full history (retired prefix's running fold
-  /// continued over the residual), seeded with kHistoryFpSeed. Identical
-  /// with the window on or off -- the sweep's DES fingerprints rely on it.
+  /// continued over the residual), seeded with kHistoryFpSeed. Independent
+  /// of the window -- the sweep's DES fingerprints rely on it.
   [[nodiscard]] std::uint64_t history_fingerprint() const;
 
  private:
@@ -137,30 +139,14 @@ class HistoryLog {
   std::size_t recorded_{0};
   std::size_t completed_{0};
   std::uint64_t peak_live_{0};
-  std::unique_ptr<StreamState> stream_;  ///< null in batch mode
+  std::unique_ptr<StreamState> stream_;
 };
 
 /// Seed of the per-log history fingerprint fold (arbitrary nonzero).
 inline constexpr std::uint64_t kHistoryFpSeed = 0x243f6a8885a308d3ULL;
 
-/// Order-sensitive fold used for history fingerprints (shared with the
-/// sweep so windowed retirement can reproduce it incrementally).
-[[nodiscard]] std::uint64_t fp_fold(std::uint64_t h, std::uint64_t v);
-[[nodiscard]] std::uint64_t fp_fold_bytes(std::uint64_t h,
-                                          const std::string& s);
-[[nodiscard]] std::uint64_t fp_fold_op(std::uint64_t h, const OpRecord& op);
-
-/// Human-readable one-line rendering of an op (shared by the batch and
-/// streaming checkers so violation messages are bit-identical).
+/// Human-readable one-line rendering of an op, as violation messages quote
+/// it.
 [[nodiscard]] std::string describe_op(const OpRecord& op);
-
-[[nodiscard]] CheckReport check_safety(const std::vector<OpRecord>& ops);
-[[nodiscard]] CheckReport check_regularity(const std::vector<OpRecord>& ops);
-[[nodiscard]] CheckReport check_atomicity(const std::vector<OpRecord>& ops);
-
-/// Sanity conditions every harness run must satisfy regardless of storage
-/// semantics: writer timestamps are 1..N in invocation order, operations of
-/// one client do not overlap. Returns violations.
-[[nodiscard]] CheckReport check_well_formed(const std::vector<OpRecord>& ops);
 
 }  // namespace rr::checker

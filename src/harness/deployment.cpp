@@ -122,16 +122,13 @@ void Deployment::build() {
   }
 
   logs_.reserve(static_cast<std::size_t>(K));
+  // The property retirement verifies is fixed now (retired ops are gone by
+  // check time): the explicit override if given, else the protocol's promise.
+  const checker::Property property = to_property(
+      opts_.checker_semantics.value_or(promised_semantics(opts_.protocol)));
   for (int s = 0; s < K; ++s) {
-    logs_.push_back(std::make_unique<checker::HistoryLog>());
-    if (opts_.checker_window > 0) {
-      // The verified property is fixed now (retired ops are gone by check
-      // time): the explicit override if given, else the protocol's promise.
-      logs_.back()->enable_window(
-          opts_.checker_window,
-          to_property(opts_.checker_semantics.value_or(
-              promised_semantics(opts_.protocol))));
-    }
+    logs_.push_back(
+        std::make_unique<checker::HistoryLog>(opts_.checker_window, property));
   }
 
   // Gray-failure library: install link faults (rewriting object-index
@@ -304,26 +301,7 @@ checker::WindowStats Deployment::checker_stats() const {
 
 checker::CheckReport Deployment::check_shard(int shard, Semantics s) const {
   RR_ASSERT(shard >= 0 && shard < opts_.shards);
-  auto& log = *logs_[static_cast<std::size_t>(shard)];
-  if (log.windowed()) {
-    // Retired ops can only have been verified against the property fixed at
-    // construction; checking anything else would silently skip the prefix.
-    RR_ASSERT_MSG(log.window_property() == to_property(s),
-                  "windowed checker was configured for a different semantics");
-    return log.final_check();
-  }
-  const auto ops = log.snapshot();
-  auto report = checker::check_well_formed(ops);
-  checker::CheckReport semantic;
-  switch (s) {
-    case Semantics::Safe: semantic = checker::check_safety(ops); break;
-    case Semantics::Regular: semantic = checker::check_regularity(ops); break;
-    case Semantics::Atomic: semantic = checker::check_atomicity(ops); break;
-  }
-  for (auto& v : semantic.violations) report.violations.push_back(std::move(v));
-  report.reads_checked = semantic.reads_checked;
-  report.writes_checked = semantic.writes_checked;
-  return report;
+  return logs_[static_cast<std::size_t>(shard)]->check(to_property(s));
 }
 
 core::WriterClient& Deployment::writer_client(int shard) {

@@ -97,14 +97,14 @@ struct DeploymentOptions {
   /// BackendConfig::max_wall_time_ms -- a stalled run reports through
   /// Backend::timed_out() instead of aborting.
   std::uint64_t thread_max_wall_ms{0};
-  /// Windowed streaming checker: when nonzero, each shard's HistoryLog
+  /// Streaming checker window: when nonzero, each shard's HistoryLog
   /// verifies and retires ops online once nothing live or future can
   /// overlap them, keeping checker memory O(window + in-flight) so soaks
-  /// can run forever. 0 keeps the classic keep-everything batch checker.
+  /// can run forever. 0 retains every op until check().
   std::size_t checker_window{0};
-  /// Property the windowed checker verifies (defaults to the protocol's
-  /// promised semantics). Ignored when checker_window == 0; with the window
-  /// on, check()/check_shard() must be called with this same semantics.
+  /// Property retirement verifies (defaults to the protocol's promised
+  /// semantics). Unused when checker_window == 0; with the window on,
+  /// check()/check_shard() must be called with this same semantics.
   std::optional<Semantics> checker_semantics{};
 };
 

@@ -384,7 +384,7 @@ ScenarioParseResult parse_scenario(std::string_view text) {
       if (const auto* v = kv.find("window")) {
         std::uint64_t window = 0;
         if (!parse_u64(*v, &window)) {
-          return fail(line_no, "bad window (want 0 = batch, or >= 1)");
+          return fail(line_no, "bad window (want 0 = retain all, or >= 1)");
         }
         s.checker_window = static_cast<std::size_t>(window);
       }

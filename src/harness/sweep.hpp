@@ -173,9 +173,9 @@ struct Scenario {
   Time think{50'000};        ///< mean per-client think time (clock units)
   Time horizon{100'000};     ///< arrival-generation window length
   double write_fraction{0.1};
-  /// Windowed streaming checker (0 = classic batch checker). Nonzero turns
-  /// on online verify-and-retire with O(window) checker memory; verdicts
-  /// and fingerprints match batch mode bit-for-bit.
+  /// Streaming checker window (0 = retain every op until the final check).
+  /// Nonzero turns on online verify-and-retire with O(window) checker
+  /// memory; verdicts and fingerprints do not depend on the window.
   std::size_t checker_window{0};
 
   /// Canonical cell address: "protocol:backend:template:seed", or

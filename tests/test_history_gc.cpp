@@ -8,12 +8,10 @@
 // suffixes.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
 #include <memory>
-#include <new>
 
 #include "adversary/byzantine.hpp"
 #include "adversary/capture.hpp"
@@ -24,23 +22,8 @@
 #include "sim/delay.hpp"
 #include "sim/world.hpp"
 
-// Global allocation counter for the steady-state write-path test below
-// (same pattern as test_world_pool.cpp): every heap allocation in this
-// binary bumps the counter, so a measured window can assert zero.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Counts every heap allocation in this binary into g_heap_allocs.
+#include "counting_alloc.hpp"
 
 namespace rr {
 namespace {

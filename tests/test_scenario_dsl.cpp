@@ -266,7 +266,7 @@ TEST(ScenarioDsl, OpenLoopWorkloadKeysRoundTrip) {
   const auto closed_again = parse_scenario(emit_scenario(closed.scenario));
   ASSERT_TRUE(closed_again.ok) << closed_again.error;
   EXPECT_EQ(closed_again.scenario, closed.scenario);
-  // Defaults (closed loop, batch checker) emit no open-loop keys at all,
+  // Defaults (closed loop, window 0) emit no open-loop keys at all,
   // keeping every committed legacy file byte-stable.
   const auto plain = parse_scenario("scenario safe des seed=5 name=x\n");
   ASSERT_TRUE(plain.ok);

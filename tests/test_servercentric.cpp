@@ -74,7 +74,7 @@ TEST(ServerCentric, ReadAfterWriteReturnsValue) {
                  [&](const core::ReadResult& r) { got = r.tsval; });
   sc.world.run();
   EXPECT_EQ(got, (TsVal{1, "pushed"}));
-  EXPECT_TRUE(checker::check_safety(sc.log.snapshot()).ok());
+  EXPECT_TRUE(sc.log.check(checker::Property::Safe).ok());
 }
 
 TEST(ServerCentric, ReadsUseOneClientMessageRound) {
@@ -111,7 +111,7 @@ TEST(ServerCentric, PushOnLateWriteCompletesPendingRead) {
   // Either the initial value (decided before the write propagated) or the
   // written one -- both are legal for a concurrent read; safety is what the
   // checker verifies.
-  EXPECT_TRUE(checker::check_safety(sc.log.snapshot()).ok());
+  EXPECT_TRUE(sc.log.check(checker::Property::Safe).ok());
   EXPECT_TRUE(got.is_bottom() || got == (TsVal{1, "late"}));
 }
 
@@ -127,7 +127,7 @@ TEST(ServerCentric, ConcurrentWorkloadStaysSafe) {
     for (const auto& op : sc.log.snapshot()) {
       ASSERT_TRUE(op.complete) << "seed " << seed;
     }
-    const auto report = checker::check_safety(sc.log.snapshot());
+    const auto report = sc.log.check(checker::Property::Safe);
     EXPECT_TRUE(report.ok()) << "seed " << seed << "\n" << report.summary();
   }
 }

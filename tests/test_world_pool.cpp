@@ -7,10 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -21,22 +19,8 @@
 #include "sim/world.hpp"
 #include "wire/codec.hpp"
 
-// Global allocation counter: replaced operator new lets the steady-state
-// test below assert that delivering events performs zero heap allocations.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Counts every heap allocation in this binary into g_heap_allocs.
+#include "counting_alloc.hpp"
 
 namespace rr::sim {
 namespace {
