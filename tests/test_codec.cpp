@@ -161,6 +161,85 @@ TEST(CodecTest, FuzzBitFlipsOnValidMessages) {
 }
 
 // ---------------------------------------------------------------------------
+// Wire-bytes golden: the exact encoding of the four tuple-carrying messages,
+// pinned so a change to the in-memory tsrarray cannot move a byte. Each
+// tuple has the honest writer's shape at S=4, R=2: three harvested rows and
+// one nil row; the history also carries the all-nil initial tuple and a
+// slot whose w is nil.
+// ---------------------------------------------------------------------------
+
+/// <ts, v> with rows 0, 1 and 3 harvested and row 2 nil.
+WTuple golden_tuple(Ts ts, const char* v, ReaderTs base) {
+  TsrArray arr;
+  arr.push_back(TsrRow{base + 1, base + 2});
+  arr.push_back(TsrRow{base + 3, 0});
+  arr.push_back(std::nullopt);
+  arr.push_back(TsrRow{0, base + 4});
+  return WTuple{TsVal{ts, v}, arr};
+}
+
+std::string to_hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+// 105 bytes.
+constexpr const char* kPwHex =
+    "0005000000000000000500000000000000020000007635040000000000000002"
+    "00000076340400000001020000000b000000000000000c000000000000000102"
+    "0000000d00000000000000000000000000000000010200000000000000000000"
+    "000e00000000000000";
+// 105 bytes.
+constexpr const char* kWHex =
+    "0205000000000000000500000000000000020000007635050000000000000002"
+    "0000007635040000000102000000150000000000000016000000000000000102"
+    "0000001700000000000000000000000000000000010200000000000000000000"
+    "001800000000000000";
+// 106 bytes.
+constexpr const char* kReadAckHex =
+    "05014d0000000000000005000000000000000200000076350500000000000000"
+    "0200000076350400000001020000001500000000000000160000000000000001"
+    "0200000017000000000000000000000000000000000102000000000000000000"
+    "00001800000000000000";
+// 195 bytes.
+constexpr const char* kHistReadAckHex =
+    "06024e0000000000000003000000000000000000000001000000000000000000"
+    "0000000100000000000000000000000004000000000000000400000000000000"
+    "0104000000000000000200000076340104000000000000000200000076340400"
+    "000001020000000b000000000000000c0000000000000001020000000d000000"
+    "00000000000000000000000000010200000000000000000000000e0000000000"
+    "0000050000000000000001050000000000000002000000763500040000000000"
+    "000000";
+
+TEST(CodecGoldenTest, TupleCarryingMessagesEncodeToPinnedBytes) {
+  History h;
+  h[0] = HistEntry{TsVal::bottom(), initial_wtuple(4)};
+  h[4] = HistEntry{TsVal{4, "v4"}, golden_tuple(4, "v4", 10)};
+  h[5] = HistEntry{TsVal{5, "v5"}, std::nullopt};
+  const std::pair<Message, const char*> cases[] = {
+      {PwMsg{5, TsVal{5, "v5"}, golden_tuple(4, "v4", 10)}, kPwHex},
+      {WMsg{5, TsVal{5, "v5"}, golden_tuple(5, "v5", 20)}, kWHex},
+      {ReadAckMsg{1, 77, TsVal{5, "v5"}, golden_tuple(5, "v5", 20)},
+       kReadAckHex},
+      {HistReadAckMsg{2, 78, h, 4, 0}, kHistReadAckHex},
+  };
+  for (const auto& [msg, hex] : cases) {
+    const std::string bytes = encode(msg);
+    EXPECT_EQ(to_hex(bytes), hex) << type_name(msg);
+    EXPECT_EQ(encoded_size(msg), std::string(hex).size() / 2)
+        << type_name(msg);
+    const auto decoded = decode(bytes);
+    ASSERT_TRUE(decoded.has_value()) << type_name(msg);
+    EXPECT_EQ(*decoded, msg) << type_name(msg);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // encoded_size property test: the counting visitor must agree with the
 // materializing encoder on every one of the 24 message variants, across
 // randomized payloads (empty/huge strings, nil/full tsrarrays, histories).
