@@ -169,9 +169,9 @@ class LegacyWorld {
 // ---------------------------------------------------------------------------
 // Workload: a mesh of echo automata moving a regular-storage-like traffic
 // mix -- mostly small acks, with periodic history-bearing HIST_ACKs and
-// tsrarray-bearing PW messages (the payloads whose deep copies dominate the
-// seed loop). Each message carries a remaining-hop count in its timestamp
-// field; the run drains when all hops are spent.
+// tsrarray-bearing PW messages (payloads the seed loop deep-copies on every
+// delivery and the pool loop moves). Each message carries a remaining-hop
+// count in its timestamp field; the run drains when all hops are spent.
 // ---------------------------------------------------------------------------
 
 constexpr int kNumProcs = 10;

@@ -103,12 +103,12 @@ class ByzantineBase : public net::Process {
     t.tsval = TsVal{ts, val};
     t.tsrarray = init_tsrarray(static_cast<std::size_t>(res_.num_objects));
     for (int i = 0; i < res_.quorum() && i < res_.num_objects; ++i) {
-      TsrRow row(static_cast<std::size_t>(res_.num_readers), 0);
-      if (accuse && reader_j >= 0 &&
-          reader_j < static_cast<int>(row.size())) {
+      const auto row = t.tsrarray.engage_row(
+          static_cast<std::size_t>(i),
+          static_cast<std::size_t>(res_.num_readers));
+      if (accuse && reader_j >= 0 && reader_j < res_.num_readers) {
         row[static_cast<std::size_t>(reader_j)] = kAccusation;
       }
-      t.tsrarray[static_cast<std::size_t>(i)] = std::move(row);
     }
     return t;
   }

@@ -6,11 +6,17 @@
 // those failures may be arbitrary (Byzantine).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "common/assert.hpp"
 
 namespace rr {
 
@@ -53,10 +59,95 @@ struct TsVal {
 using TsrRow = std::vector<ReaderTs>;
 
 /// The array-of-arrays of reader timestamps the writer collects in its first
-/// (PW) round and embeds into the written tuple (the paper's
-/// "tsrarray[1..S][1..R]"). Entry i is nil (nullopt) when object i's PW_ACK
-/// was not among the S-t the writer awaited.
-using TsrArray = std::vector<std::optional<TsrRow>>;
+/// (PW) round and embeds into the written tuple (the paper's tsrarray,
+/// indexed [1..S][1..R]). Row i is nil when object i's PW_ACK was not among
+/// the S-t the writer awaited.
+///
+/// Every tuple-carrying message copies one of these (PW and W fan-out,
+/// history slots, reader candidates), so the layout is flat: S rows of one
+/// common width R in a single contiguous block of S x R cells, nil rows
+/// zero-filled, plus a presence mask. A copy is one allocation and `==` is
+/// a comparison of contiguous memory. The width is that of the engaged rows
+/// (0 while none is): rows cannot be ragged. S is at most 64, the bound the
+/// readers' conflict-graph masks already impose.
+class TsrArray {
+ public:
+  static constexpr std::size_t kMaxRows = 64;
+
+  TsrArray() = default;
+  /// S rows, all nil.
+  explicit TsrArray(std::size_t rows) { reset(rows); }
+
+  /// S, the row count.
+  [[nodiscard]] std::size_t size() const { return rows_; }
+  /// R, the width of the engaged rows (0 when no row is engaged).
+  [[nodiscard]] std::size_t readers() const { return width_; }
+  [[nodiscard]] bool has_row(std::size_t i) const {
+    return i < rows_ && ((mask_ >> i) & 1U) != 0;
+  }
+  /// Number of engaged rows.
+  [[nodiscard]] int engaged() const { return std::popcount(mask_); }
+  /// Cell (i, j); 0 -- "no conflict evidence" -- for a nil row or an index
+  /// outside S x R, so conflict checks need no shape tests of their own.
+  [[nodiscard]] ReaderTs at(std::size_t i, std::size_t j) const {
+    return i < rows_ && j < width_ ? cells_[i * width_ + j] : 0;
+  }
+  /// Row i's R cells (all zero when the row is nil).
+  [[nodiscard]] std::span<const ReaderTs> row(std::size_t i) const {
+    RR_ASSERT(i < rows_);
+    return {cells_.data() + i * width_, width_};
+  }
+
+  /// All rows nil again; keeps the cell capacity for the next fill.
+  void reset(std::size_t rows) {
+    RR_ASSERT_MSG(rows <= kMaxRows, "a tsrarray holds at most 64 rows");
+    rows_ = static_cast<std::uint32_t>(rows);
+    width_ = 0;
+    mask_ = 0;
+    cells_.clear();
+  }
+
+  /// Engages row i with `width` cells, zeroed, and returns them for the
+  /// caller to fill. The first engaged row sets R; later rows must match it.
+  std::span<ReaderTs> engage_row(std::size_t i, std::size_t width) {
+    RR_ASSERT(i < rows_);
+    if (mask_ == 0) {
+      width_ = static_cast<std::uint32_t>(width);
+      cells_.assign(rows_ * width, 0);
+    }
+    RR_ASSERT_MSG(width == width_, "tsrarray rows must share one width");
+    mask_ |= std::uint64_t{1} << i;
+    const std::span<ReaderTs> cells{cells_.data() + i * width_, width_};
+    std::fill(cells.begin(), cells.end(), ReaderTs{0});
+    return cells;
+  }
+
+  /// Row i becomes `row`, truncated or zero-padded to `width` cells.
+  void set_row(std::size_t i, std::span<const ReaderTs> row,
+               std::size_t width) {
+    const auto cells = engage_row(i, width);
+    std::copy_n(row.begin(), std::min(row.size(), width), cells.begin());
+  }
+  void set_row(std::size_t i, std::span<const ReaderTs> row) {
+    set_row(i, row, row.size());
+  }
+
+  /// Appends row S+1 (nil for nullopt).
+  void push_back(const std::optional<TsrRow>& row) {
+    RR_ASSERT_MSG(rows_ < kMaxRows, "a tsrarray holds at most 64 rows");
+    ++rows_;
+    cells_.resize(rows_ * width_, 0);
+    if (row) set_row(rows_ - 1, *row);
+  }
+
+  friend bool operator==(const TsrArray&, const TsrArray&) = default;
+
+ private:
+  std::uint32_t rows_{0};
+  std::uint32_t width_{0};
+  std::uint64_t mask_{0};          ///< bit i set = row i engaged
+  std::vector<ReaderTs> cells_{};  ///< rows_ x width_, row-major
+};
 
 /// The full tuple stored in an object's "w" field: <tsval, tsrarray>.
 /// Candidate values in the read protocol range over WTuples.

@@ -125,11 +125,7 @@ bool SafeReader::conflict(std::size_t i, std::size_t k) const {
   for (const auto& cand : candidates_) {
     if (cand.removed) continue;
     if (!contains(reports_[k].w_round1, cand.tuple)) continue;
-    const auto& arr = cand.tuple.tsrarray;
-    if (i >= arr.size() || !arr[i].has_value()) continue;
-    const auto& row = *arr[i];
-    if (j >= row.size()) continue;
-    if (row[j] > tsr_first_round_) return true;
+    if (cand.tuple.tsrarray.at(i, j) > tsr_first_round_) return true;
   }
   return false;
 }

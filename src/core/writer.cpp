@@ -16,11 +16,9 @@ void Writer::write(net::Context& ctx, Value v, WriteCallback cb) {
                 "WRITE invoked while previous WRITE in progress");
   // Figure 2 lines 3-5.
   ++ts_;
-  current_tsrarray_ = init_tsrarray(static_cast<std::size_t>(res_.num_objects));
+  current_tsrarray_.reset(static_cast<std::size_t>(res_.num_objects));
   pw_ = TsVal{ts_, std::move(v)};
-  pw_acked_.assign(static_cast<std::size_t>(res_.num_objects), false);
   w_acked_.assign(static_cast<std::size_t>(res_.num_objects), false);
-  pw_ack_count_ = 0;
   w_ack_count_ = 0;
   cb_ = std::move(cb);
   invoked_at_ = ctx.now();
@@ -47,21 +45,20 @@ void Writer::handle_pw_ack(net::Context& ctx, ProcessId from,
   if (phase_ != Phase::Pw || m.ts != ts_) return;  // stale or foreign ack
   if (!topo_.is_object(from)) return;
   const auto i = static_cast<std::size_t>(topo_.object_index(from));
-  if (pw_acked_[i]) return;  // at most one row per object per write
-  pw_acked_[i] = true;
-  ++pw_ack_count_;
+  // At most one row per object per write.
+  if (current_tsrarray_.has_row(i)) return;
   // Figure 2 line 11: record the object's reader-timestamp row. A Byzantine
   // object may report a row of the wrong width; normalize to R entries
-  // (missing entries read as 0, i.e. "no conflict evidence") so that
-  // downstream indexing is total.
-  TsrRow row = m.tsr;
-  row.resize(static_cast<std::size_t>(topo_.num_readers()), 0);
-  current_tsrarray_[i] = std::move(row);
+  // (missing entries read as 0, i.e. "no conflict evidence") so that every
+  // row of the array shares one width.
+  current_tsrarray_.set_row(i, m.tsr,
+                            static_cast<std::size_t>(topo_.num_readers()));
 
-  if (pw_ack_count_ >= res_.quorum()) {
+  if (current_tsrarray_.engaged() >= res_.quorum()) {
     // Figure 2 lines 7-8: snapshot the harvested rows into the tuple and
-    // enter the W round.
-    w_ = WTuple{pw_, current_tsrarray_};
+    // enter the W round. Assigning in place reuses w_'s cell capacity.
+    w_.tsval = pw_;
+    w_.tsrarray = current_tsrarray_;
     phase_ = Phase::W;
     rounds_ = 2;
     for (int k = 0; k < res_.num_objects; ++k) {

@@ -55,10 +55,8 @@ class Writer : public WriterClient {
 
   // Per-operation state.
   Phase phase_{Phase::Idle};
-  TsrArray current_tsrarray_;
-  std::vector<bool> pw_acked_;
+  TsrArray current_tsrarray_;  ///< rows harvested so far; reset per write
   std::vector<bool> w_acked_;
-  int pw_ack_count_{0};
   int w_ack_count_{0};
   WriteCallback cb_;
   Time invoked_at_{0};

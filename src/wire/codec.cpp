@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <span>
 
 namespace rr::wire {
 namespace {
@@ -89,6 +91,7 @@ class ByteReader {
     return true;
   }
 
+  [[nodiscard]] std::size_t remaining() const { return in_.size() - pos_; }
   [[nodiscard]] bool exhausted() const { return ok_ && pos_ == in_.size(); }
   [[nodiscard]] bool ok() const { return ok_; }
 
@@ -120,47 +123,51 @@ void put(W& w, const TsVal& v) {
 bool get(ByteReader& r, TsVal& v) { return r.u64(v.ts) && r.bytes(v.val); }
 
 template <class W>
-void put(W& w, const TsrRow& row) {
+void put(W& w, std::span<const ReaderTs> row) {
   w.u32(static_cast<std::uint32_t>(row.size()));
-  for (auto x : row) w.u64(x);
+  for (const auto x : row) w.u64(x);
 }
 
 bool get(ByteReader& r, TsrRow& row) {
   std::uint32_t n = 0;
-  if (!r.u32(n) || n > kMaxElems) return false;
-  row.clear();
-  row.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint64_t x = 0;
+  if (!r.u32(n) || n > r.remaining() / 8) return false;
+  row.resize(n);
+  for (auto& x : row) {
     if (!r.u64(x)) return false;
-    row.push_back(x);
   }
   return true;
 }
 
+// A tsrarray keeps the row-by-row wire form: u32 S, then per row a u8 flag
+// and, when engaged, the row as a TsrRow (u32 width, width x u64).
 template <class W>
 void put(W& w, const TsrArray& arr) {
   w.u32(static_cast<std::uint32_t>(arr.size()));
-  for (const auto& entry : arr) {
-    w.u8(entry.has_value() ? 1 : 0);
-    if (entry) put(w, *entry);
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    w.u8(arr.has_row(i) ? 1 : 0);
+    if (arr.has_row(i)) put(w, arr.row(i));
   }
 }
 
+// Rejected before anything is allocated: more than 64 rows, engaged rows of
+// different widths (the flat form has one width; an honest writer always
+// normalizes to R), and a first engaged row wider than the input left.
 bool get(ByteReader& r, TsrArray& arr) {
   std::uint32_t n = 0;
-  if (!r.u32(n) || n > kMaxElems) return false;
-  arr.clear();
-  arr.reserve(n);
+  if (!r.u32(n) || n > TsrArray::kMaxRows) return false;
+  arr.reset(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint8_t flag = 0;
     if (!r.u8(flag) || flag > 1) return false;
-    if (flag) {
-      TsrRow row;
-      if (!get(r, row)) return false;
-      arr.emplace_back(std::move(row));
-    } else {
-      arr.emplace_back(std::nullopt);
+    if (flag == 0) continue;
+    std::uint32_t width = 0;
+    if (!r.u32(width)) return false;
+    if (arr.engaged() > 0 ? width != arr.readers()
+                          : width > r.remaining() / 8) {
+      return false;
+    }
+    for (auto& x : arr.engage_row(i, width)) {
+      if (!r.u64(x)) return false;
     }
   }
   return true;
@@ -214,6 +221,10 @@ void put(W& w, const History& h) {
   }
 }
 
+// Slots must arrive in strictly ascending timestamp order, as put() writes
+// them: each one then appends in O(1). A duplicate would otherwise be
+// dropped silently and an out-of-order slot shift the vector, so that one
+// frame of descending slots cost quadratic time.
 bool get(ByteReader& r, History& h) {
   std::uint32_t n = 0;
   if (!r.u32(n) || n > kMaxElems) return false;
@@ -221,7 +232,10 @@ bool get(ByteReader& r, History& h) {
   for (std::uint32_t i = 0; i < n; ++i) {
     Ts ts = 0;
     HistEntry entry;
-    if (!r.u64(ts) || !get(r, entry)) return false;
+    if (!r.u64(ts) || (!h.empty() && ts <= std::prev(h.end())->first) ||
+        !get(r, entry)) {
+      return false;
+    }
     h.emplace(ts, std::move(entry));
   }
   return true;

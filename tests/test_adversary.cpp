@@ -88,16 +88,12 @@ TEST(ForgerStrategy, FabricatesHigherCandidate) {
   EXPECT_GT(ack.w.tsval.ts, 3u) << "forged candidate must look fresh";
   EXPECT_EQ(ack.w.tsval.val, "FORGED");
   // The fabricated tsrarray must look writer-made: exactly S-t non-nil rows.
-  int non_nil = 0;
-  for (const auto& row : ack.w.tsrarray) {
-    if (row.has_value()) ++non_nil;
-  }
-  EXPECT_EQ(non_nil, f.res.quorum());
+  const TsrArray& arr = ack.w.tsrarray;
+  EXPECT_EQ(arr.engaged(), f.res.quorum());
+  EXPECT_EQ(arr.readers(), static_cast<std::size_t>(f.res.num_readers));
   // Benign forger rows carry no accusations.
-  for (const auto& row : ack.w.tsrarray) {
-    if (row.has_value()) {
-      for (const auto v : *row) EXPECT_EQ(v, 0u);
-    }
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    for (const auto v : arr.row(i)) EXPECT_EQ(v, 0u);
   }
 }
 
@@ -108,10 +104,8 @@ TEST(AccuserStrategy, RowsAccuseTheRequestingReader) {
   ASSERT_EQ(out.size(), 1u);
   const auto& ack = std::get<wire::ReadAckMsg>(out[0].msg);
   bool accused = false;
-  for (const auto& row : ack.w.tsrarray) {
-    if (row.has_value() && row->size() > 1 && (*row)[1] > 1'000'000) {
-      accused = true;
-    }
+  for (std::size_t i = 0; i < ack.w.tsrarray.size(); ++i) {
+    if (ack.w.tsrarray.at(i, 1) > 1'000'000) accused = true;
   }
   EXPECT_TRUE(accused) << "accuser must claim huge reader timestamps";
 }

@@ -3,6 +3,10 @@
 // processes, so it must never crash or over-allocate).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "wire/codec.hpp"
 
@@ -13,8 +17,8 @@ WTuple sample_tuple() {
   WTuple t;
   t.tsval = TsVal{42, "payload"};
   t.tsrarray = init_tsrarray(4);
-  t.tsrarray[1] = TsrRow{1, 2, 3};
-  t.tsrarray[3] = TsrRow{};
+  t.tsrarray.set_row(1, TsrRow{1, 2, 3});
+  t.tsrarray.set_row(3, TsrRow{4, 5, 6});
   return t;
 }
 
@@ -122,6 +126,95 @@ TEST(CodecTest, HugeLengthPrefixRejectedWithoutAllocation) {
   for (int i = 0; i < 8; ++i) bytes.push_back(0);  // ts
   bytes += std::string(4, '\xff');                 // row length prefix
   EXPECT_FALSE(decode(bytes).has_value());
+}
+
+// Little-endian frame builder for hand-made (often malformed) inputs.
+struct Frame {
+  std::string bytes;
+  Frame& u8(std::uint8_t v) {
+    bytes.push_back(static_cast<char>(v));
+    return *this;
+  }
+  Frame& u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    return *this;
+  }
+  Frame& u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    return *this;
+  }
+  /// A PwMsg header up to its tuple's tsrarray: tag, ts, pw, w.tsval.
+  static Frame pw_msg() {
+    Frame f;
+    f.u8(static_cast<std::uint8_t>(message_index<PwMsg>())).u64(3);
+    f.u64(3).u32(0);  // pw = <3, "">
+    f.u64(2).u32(0);  // w.tsval = <2, "">
+    return f;
+  }
+};
+
+TEST(CodecTest, RaggedTsrArrayRowsRejected) {
+  // Two engaged rows of widths 2 and 1: the flat tsrarray has one width.
+  Frame ragged = Frame::pw_msg();
+  ragged.u32(2).u8(1).u32(2).u64(1).u64(2).u8(1).u32(1).u64(3);
+  EXPECT_FALSE(decode(ragged.bytes).has_value());
+  // The same rows at one width decode.
+  Frame even = Frame::pw_msg();
+  even.u32(2).u8(1).u32(2).u64(1).u64(2).u8(1).u32(2).u64(3).u64(4);
+  const auto ok = decode(even.bytes);
+  ASSERT_TRUE(ok.has_value());
+  const auto& arr = std::get<PwMsg>(*ok).w.tsrarray;
+  EXPECT_EQ(arr.readers(), 2u);
+  EXPECT_EQ(arr.at(1, 1), 4u);
+}
+
+TEST(CodecTest, MoreThanSixtyFourTsrArrayRowsRejected) {
+  Frame rows65 = Frame::pw_msg();
+  rows65.u32(65);
+  for (int i = 0; i < 65; ++i) rows65.u8(0);
+  EXPECT_FALSE(decode(rows65.bytes).has_value());
+  Frame rows64 = Frame::pw_msg();
+  rows64.u32(64);
+  for (int i = 0; i < 64; ++i) rows64.u8(0);
+  EXPECT_TRUE(decode(rows64.bytes).has_value());
+}
+
+TEST(CodecTest, RowWiderThanTheRemainingInputRejected) {
+  // 64 rows whose first claims 2^20 cells: allocating S x R before reading
+  // would take 512 MiB for a frame of a few dozen bytes.
+  Frame wide = Frame::pw_msg();
+  wide.u32(64).u8(1).u32(1u << 20).u64(7);
+  EXPECT_FALSE(decode(wide.bytes).has_value());
+  // A PW_ACK row is bounded by the input the same way.
+  Frame ack;
+  ack.u8(static_cast<std::uint8_t>(message_index<PwAckMsg>())).u64(1);
+  ack.u32(3).u64(1).u64(2);
+  EXPECT_FALSE(decode(ack.bytes).has_value());
+}
+
+/// A HistReadAckMsg frame whose slots (pw and w nil) carry `keys` in order.
+std::string hist_ack_frame(const std::vector<Ts>& keys) {
+  Frame f;
+  f.u8(static_cast<std::uint8_t>(message_index<HistReadAckMsg>()));
+  f.u8(1).u64(9).u32(static_cast<std::uint32_t>(keys.size()));
+  for (const Ts k : keys) f.u64(k).u8(0).u8(0);
+  f.u64(0).u8(0);  // since, resync
+  return f.bytes;
+}
+
+TEST(CodecTest, HistorySlotsMustBeStrictlyAscending) {
+  EXPECT_TRUE(decode(hist_ack_frame({1, 2, 5})).has_value());
+  EXPECT_FALSE(decode(hist_ack_frame({5, 2, 1})).has_value())
+      << "descending slots";
+  EXPECT_FALSE(decode(hist_ack_frame({1, 2, 2})).has_value())
+      << "a duplicate slot is rejected, not dropped";
+  // A large descending frame is rejected at its second slot instead of
+  // costing one mid-vector insert per slot.
+  std::vector<Ts> descending(80'000);
+  for (std::size_t i = 0; i < descending.size(); ++i) {
+    descending[i] = descending.size() - i;
+  }
+  EXPECT_FALSE(decode(hist_ack_frame(descending)).has_value());
 }
 
 TEST(CodecTest, FuzzRandomBytesNeverCrash) {
@@ -259,16 +352,18 @@ TsVal random_tsval(Rng& rng) {
   return TsVal{rng.uniform(0, 1u << 20), random_value(rng)};
 }
 
-TsrRow random_tsr_row(Rng& rng) {
-  TsrRow row(rng.index(6));
+TsrRow random_tsr_row(Rng& rng, std::size_t width) {
+  TsrRow row(width);
   for (auto& x : row) x = rng.uniform(0, 1000);
   return row;
 }
 
+// One width for every engaged row: a tsrarray cannot hold ragged rows.
 TsrArray random_tsrarray(Rng& rng) {
   TsrArray arr(rng.index(5));
-  for (auto& e : arr) {
-    if (rng.chance(0.5)) e = random_tsr_row(rng);
+  const auto width = rng.index(6);
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    if (rng.chance(0.5)) arr.set_row(i, random_tsr_row(rng, width));
   }
   return arr;
 }
@@ -295,7 +390,7 @@ Message random_message(std::size_t variant, Rng& rng) {
   const auto u64v = [&] { return rng.uniform(0, 1ull << 40); };
   switch (variant) {
     case 0: return PwMsg{u64v(), random_tsval(rng), random_wtuple(rng)};
-    case 1: return PwAckMsg{u64v(), random_tsr_row(rng)};
+    case 1: return PwAckMsg{u64v(), random_tsr_row(rng, rng.index(6))};
     case 2: return WMsg{u64v(), random_tsval(rng), random_wtuple(rng)};
     case 3: return WAckMsg{u64v()};
     case 4: return ReadMsg{u8v(), u64v(), u64v()};
@@ -396,11 +491,11 @@ TEST(CodecTortureTest, RandomizedBitFlipsNeverCrashOnAnyVariant) {
                                      (1u << rng.uniform(0, 7)));
       const auto result = decode(bytes);
       if (result.has_value()) {
-        // Anything accepted must re-encode without amplification (a history
-        // ack's map keys may arrive permuted, so byte identity is only
-        // guaranteed up to canonical ordering) and round-trip exactly.
+        // Anything accepted must re-encode to the same bytes (the encoding
+        // is canonical: history slots must arrive ascending, tsrarray rows
+        // share one width) and round-trip exactly.
         const std::string reenc = encode(*result);
-        EXPECT_LE(reenc.size(), bytes.size()) << "variant " << variant;
+        EXPECT_EQ(reenc, bytes) << "variant " << variant;
         const auto again = decode(reenc);
         ASSERT_TRUE(again.has_value()) << "variant " << variant;
         EXPECT_EQ(*again, *result) << "variant " << variant;

@@ -7,6 +7,9 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
+// Counts every heap allocation in this binary into g_heap_allocs.
+#include "counting_alloc.hpp"
+
 namespace rr {
 namespace {
 
@@ -26,15 +29,102 @@ TEST(WTupleTest, EqualityIncludesTsrArray) {
   WTuple a{TsVal{1, "v"}, init_tsrarray(3)};
   WTuple b = a;
   EXPECT_EQ(a, b);
-  b.tsrarray[0] = TsrRow{7};
+  b.tsrarray.set_row(0, TsrRow{7});
   EXPECT_NE(a, b);
+}
+
+TEST(WTupleTest, CopyingAWrittenTupleAllocatesOnce) {
+  // The honest writer's shape at S=4, R=2: S - t = 3 harvested rows, one
+  // nil row, and a value short enough for the string's inline buffer. The
+  // tsrarray's cells are one contiguous block, so the copy is one
+  // allocation whatever the row count.
+  TsrArray arr;
+  arr.push_back(TsrRow{1, 2});
+  arr.push_back(TsrRow{3, 4});
+  arr.push_back(std::nullopt);
+  arr.push_back(TsrRow{5, 6});
+  const WTuple w{TsVal{7, "v7"}, arr};
+  const std::uint64_t before = g_heap_allocs.load();
+  const WTuple copy = w;
+  const std::uint64_t allocs = g_heap_allocs.load() - before;
+  EXPECT_EQ(copy, w);
+  EXPECT_EQ(allocs, 1u);
+}
+
+TEST(TsrArrayTest, CellsOutsideEngagedRowsReadAsZero) {
+  TsrArray arr(4);
+  arr.set_row(1, TsrRow{5, 6});
+  arr.set_row(3, TsrRow{7, 8});
+  EXPECT_EQ(arr.size(), 4u);
+  EXPECT_EQ(arr.readers(), 2u);
+  EXPECT_EQ(arr.engaged(), 2);
+  EXPECT_TRUE(arr.has_row(1));
+  EXPECT_FALSE(arr.has_row(0));
+  EXPECT_FALSE(arr.has_row(64)) << "past S is nil, not undefined";
+  EXPECT_EQ(arr.at(1, 1), 6u);
+  EXPECT_EQ(arr.at(0, 1), 0u) << "nil row";
+  EXPECT_EQ(arr.at(3, 2), 0u) << "past R";
+  EXPECT_EQ(arr.at(9, 0), 0u) << "past S";
+  const auto row = arr.row(2);
+  EXPECT_EQ(row.size(), 2u);
+  EXPECT_EQ(row[0] + row[1], 0u);
+}
+
+TEST(TsrArrayTest, SetRowTruncatesOrPadsToTheGivenWidth) {
+  TsrArray arr(3);
+  arr.set_row(0, TsrRow{1, 2, 3, 4}, 2);
+  arr.set_row(2, TsrRow{9}, 2);
+  EXPECT_EQ(arr.readers(), 2u);
+  EXPECT_EQ(arr.at(0, 1), 2u);
+  EXPECT_EQ(arr.at(2, 0), 9u);
+  EXPECT_EQ(arr.at(2, 1), 0u);
+}
+
+TEST(TsrArrayTest, EqualityTellsANilRowFromAZeroRow) {
+  TsrArray nil(2);
+  nil.set_row(0, TsrRow{1, 1});
+  TsrArray zero = nil;
+  zero.set_row(1, TsrRow{0, 0});
+  EXPECT_NE(nil, zero) << "same cells, different presence";
+  EXPECT_EQ(TsrArray(3), init_tsrarray(3));
+  EXPECT_NE(TsrArray(3), TsrArray(4));
+}
+
+TEST(TsrArrayTest, PushBackBuildsTheSameArrayAsSetRow) {
+  TsrArray pushed;
+  pushed.push_back(std::nullopt);
+  pushed.push_back(TsrRow{3, 4});
+  pushed.push_back(std::nullopt);
+  TsrArray set(3);
+  set.set_row(1, TsrRow{3, 4});
+  EXPECT_EQ(pushed, set);
+}
+
+TEST(TsrArrayTest, RefillAfterResetDoesNotAllocate) {
+  TsrArray arr(4);
+  for (std::size_t i = 0; i < 3; ++i) arr.set_row(i, TsrRow{1, 2}, 2);
+  const TsrRow row{5, 6};
+  const std::uint64_t before = g_heap_allocs.load();
+  arr.reset(4);
+  for (std::size_t i = 1; i < 4; ++i) arr.set_row(i, row, 2);
+  EXPECT_EQ(g_heap_allocs.load() - before, 0u);
+  EXPECT_FALSE(arr.has_row(0));
+  EXPECT_EQ(arr.at(3, 1), 6u);
+}
+
+TEST(TsrArrayDeathTest, RowsOfDifferentWidthsAbort) {
+  TsrArray arr(2);
+  arr.set_row(0, TsrRow{1, 2});
+  EXPECT_DEATH(arr.set_row(1, TsrRow{3}), "one width");
+  EXPECT_DEATH(TsrArray(65), "at most 64 rows");
 }
 
 TEST(InitialWTupleTest, HasBottomAndAllNilRows) {
   const WTuple w0 = initial_wtuple(4);
   EXPECT_TRUE(w0.tsval.is_bottom());
   ASSERT_EQ(w0.tsrarray.size(), 4u);
-  for (const auto& row : w0.tsrarray) EXPECT_FALSE(row.has_value());
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_FALSE(w0.tsrarray.has_row(i));
+  EXPECT_EQ(w0.tsrarray.readers(), 0u);
 }
 
 TEST(ResilienceTest, OptimalMatchesPaperBound) {

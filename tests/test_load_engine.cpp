@@ -147,6 +147,42 @@ TEST(LoadEngine, OpenLoopSurvivesChaosWithWindowedChecker) {
 }
 
 // ---------------------------------------------------------------------------
+// Allocation budget of a fault-free gv06-regular open-loop DES run (S=4,
+// R=2, 30% writes), setup included. Every PW/W fan-out, history reply slot
+// and reader candidate copies a written tuple, so the per-op count follows
+// what one tuple copy costs; at one allocation per tuple the run needs
+// about 23 per op, and a tuple copy costing one allocation per harvested
+// row on top pushes it past 60.
+// ---------------------------------------------------------------------------
+TEST(LoadEngine, RegularOpenLoopDesRunStaysWithinAllocationBudget) {
+  Scenario s;
+  s.protocol = Protocol::Regular;
+  s.backend = BackendKind::Sim;
+  s.tmpl = FaultTemplate::None;
+  s.seed = 1;
+  s.t = 1;
+  s.b = 1;
+  s.readers = 2;
+  s.arrival = ArrivalKind::Poisson;
+  s.clients = 1'000;
+  s.think = 33'333'333;
+  s.horizon = 100'000'000;
+  s.write_fraction = 0.3;
+  s.checker_window = 1'024;
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const CellVerdict v = SweepEngine::run_cell(s);
+  const std::uint64_t allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - before;
+  ASSERT_TRUE(v.ok) << v.first_violation;
+  ASSERT_EQ(v.ops_stuck, 0);
+  ASSERT_GT(v.ops_complete, 2'000);
+  const double per_op =
+      static_cast<double>(allocs) / static_cast<double>(v.ops_complete);
+  EXPECT_LE(per_op, 30.0) << allocs << " allocations over " << v.ops_complete
+                          << " ops";
+}
+
+// ---------------------------------------------------------------------------
 // Arrival shapes match their documented envelopes (docs/WORKLOADS.md).
 // ---------------------------------------------------------------------------
 TEST(LoadEngine, ArrivalShapesMatchTheirEnvelopes) {

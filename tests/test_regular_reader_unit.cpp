@@ -218,9 +218,7 @@ TEST(RegularReaderUnit, ConflictViaHistoryTuple) {
   // Object 2's history contains a tuple accusing object 0 of a huge reader
   // timestamp -> conflict(0, 2) blocks quorums containing both.
   WTuple accusing = h.tuple(4, "x");
-  TsrRow row(1, 0);
-  row[0] = 1'000'000'000;
-  accusing.tsrarray[0] = std::move(row);
+  accusing.tsrarray.set_row(0, TsrRow{1'000'000'000});
   wire::History evil = h.full_history(0);
   evil[4] = wire::HistEntry{TsVal{4, "x"}, accusing};
   h.ack(0, 1, h.round1_tsr_, h.full_history(0));

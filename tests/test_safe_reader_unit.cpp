@@ -64,9 +64,7 @@ class ReaderHarness {
   [[nodiscard]] WTuple accusing_tuple(Ts ts, const Value& v, int accused,
                                       ReaderTs claimed) const {
     WTuple t = tuple(ts, v);
-    TsrRow row(1, 0);
-    row[0] = claimed;
-    t.tsrarray[static_cast<std::size_t>(accused)] = std::move(row);
+    t.tsrarray.set_row(static_cast<std::size_t>(accused), TsrRow{claimed});
     return t;
   }
 
@@ -242,8 +240,8 @@ TEST(SafeReaderUnit, MalformedTsrArrayCannotCrashConflictCheck) {
   // Candidate with absurd tsrarray shapes: too small, rows of wrong width.
   WTuple weird;
   weird.tsval = TsVal{4, "w"};
-  weird.tsrarray.resize(2);           // shorter than S
-  weird.tsrarray[1] = TsrRow{};       // empty row (no reader slots)
+  weird.tsrarray = TsrArray(2);             // shorter than S
+  weird.tsrarray.set_row(1, TsrRow{});      // empty row (no reader slots)
   h.ack(0, 1, h.round1_tsr_, TsVal{4, "w"}, weird);
   h.ack(1, 1, h.round1_tsr_, TsVal{4, "w"}, weird);
   h.ack(2, 1, h.round1_tsr_, TsVal{4, "w"}, weird);
