@@ -127,7 +127,6 @@ class ThreadBackend final : public Backend {
     copts.max_jitter_us = cfg.max_jitter_us;
     copts.reserialize = cfg.reserialize;
     copts.batched_drain = cfg.threads_batched_drain;
-    copts.max_spin_iters = cfg.threads_max_spin;
     cluster_ = std::make_unique<runtime::Cluster>(copts);
   }
 
@@ -145,7 +144,6 @@ class ThreadBackend final : public Backend {
     // Once a bounded run has given up, the cluster is stopped: later runs
     // report immediately instead of burning another full deadline.
     if (timed_out_) return 0;
-    const std::uint64_t before = cluster_->messages_delivered();
     const std::uint64_t bound = max_wall_ms_ > 0 ? max_wall_ms_ : run_timeout_;
     const bool quiesced =
         cluster_->run_quiescent(std::chrono::milliseconds(bound));
@@ -156,13 +154,13 @@ class ThreadBackend final : public Backend {
         // harness turn this into a liveness-failure verdict.
         timed_out_ = true;
         cluster_->stop();
-        return cluster_->messages_delivered() - before;
+        return delivered_since_last_run();
       }
       RR_ASSERT_MSG(quiesced,
                     "thread backend failed to quiesce: livelock or a fault "
                     "plan exceeding the resilience budget");
     }
-    return cluster_->messages_delivered() - before;
+    return delivered_since_last_run();
   }
   [[nodiscard]] Time now() const override { return cluster_->now(); }
 
@@ -201,10 +199,21 @@ class ThreadBackend final : public Backend {
   }
 
  private:
+  /// Counted from the end of the previous run, not from the start of this
+  /// one: on real threads work starts the moment it is posted, so messages
+  /// delivered between a post and run() belong to this run too.
+  std::uint64_t delivered_since_last_run() {
+    const std::uint64_t total = cluster_->messages_delivered();
+    const std::uint64_t n = total - reported_delivered_;
+    reported_delivered_ = total;
+    return n;
+  }
+
   std::unique_ptr<runtime::Cluster> cluster_;
   std::uint64_t run_timeout_;
   std::uint64_t max_wall_ms_;
   bool timed_out_{false};
+  std::uint64_t reported_delivered_{0};
 };
 
 /// Real sockets: netio::Mesh behind the Backend contract. Mirrors

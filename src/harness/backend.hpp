@@ -73,9 +73,6 @@ struct BackendConfig {
   /// -- used by the batching-speedup bench ratio and the delivery-semantics
   /// parity tests. Semantics are identical either way.
   bool threads_batched_drain{true};
-  /// Threads only: cap on the consumer's adaptive pre-park spin
-  /// (iterations; 0 parks immediately).
-  std::uint32_t threads_max_spin{256};
   /// Threads + net: bounded run deadline (milliseconds; 0 = disabled).
   /// With a deadline, a run() that fails to quiesce STOPS the substrate and
   /// reports through Backend::timed_out() instead of aborting the process

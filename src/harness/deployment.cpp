@@ -177,8 +177,8 @@ void Deployment::invoke_write(Time at, int shard, Value v,
   RR_ASSERT(shard >= 0 && shard < opts_.shards);
   backend_->post(at, layout_.writer(shard),
                  [this, shard, v = std::move(v),
-                  cb = std::move(cb)](net::Context& ctx) {
-                   do_write(ctx, shard, v, cb);
+                  cb = std::move(cb)](net::Context& ctx) mutable {
+                   do_write(ctx, shard, std::move(v), std::move(cb));
                  });
 }
 
@@ -191,8 +191,9 @@ void Deployment::invoke_read(Time at, int shard, int reader,
   RR_ASSERT(shard >= 0 && shard < opts_.shards);
   RR_ASSERT(reader >= 0 && reader < opts_.res.num_readers);
   backend_->post(at, layout_.reader(shard, reader),
-                 [this, shard, reader, cb = std::move(cb)](net::Context& ctx) {
-                   do_read(ctx, shard, reader, cb);
+                 [this, shard, reader,
+                  cb = std::move(cb)](net::Context& ctx) mutable {
+                   do_read(ctx, shard, reader, std::move(cb));
                  });
 }
 
@@ -205,7 +206,7 @@ void Deployment::logged_write(Time at, int shard, Value v,
   RR_ASSERT(shard >= 0 && shard < opts_.shards);
   backend_->post(at, layout_.writer(shard), [this, shard, v = std::move(v),
                                              cb = std::move(cb)](
-                                                net::Context& ctx) {
+                                                net::Context& ctx) mutable {
     // The log handle is created at actual invocation (inside the writer's
     // step) so invoked_at is exact; the intended value is recorded up front
     // in case the write never completes. Times come from the backend's
@@ -216,12 +217,15 @@ void Deployment::logged_write(Time at, int shard, Value v,
     auto& log = *logs_[static_cast<std::size_t>(shard)];
     const auto handle = log.record_invocation(checker::OpRecord::Kind::Write,
                                               -1, backend_->now(), v);
-    do_write(ctx, shard, v,
-             [this, shard, handle, v, cb](const core::WriteResult& r) {
-               logs_[static_cast<std::size_t>(shard)]->record_write_response(
-                   handle, backend_->now(), r.ts, v);
-               if (cb) cb(r);
-             });
+    // Built before the call: the response needs its own copy of v, and
+    // the order in which call arguments are evaluated is unspecified.
+    core::WriteCallback done = [this, shard, handle, v, cb = std::move(cb)](
+                                   const core::WriteResult& r) {
+      logs_[static_cast<std::size_t>(shard)]->record_write_response(
+          handle, backend_->now(), r.ts, v);
+      if (cb) cb(r);
+    };
+    do_write(ctx, shard, std::move(v), std::move(done));
   });
 }
 
@@ -234,14 +238,16 @@ void Deployment::logged_read(Time at, int shard, int reader,
   RR_ASSERT(shard >= 0 && shard < opts_.shards);
   RR_ASSERT(reader >= 0 && reader < opts_.res.num_readers);
   backend_->post(at, layout_.reader(shard, reader),
-                 [this, shard, reader, cb = std::move(cb)](net::Context& ctx) {
+                 [this, shard, reader,
+                  cb = std::move(cb)](net::Context& ctx) mutable {
     // Same omniscient-clock rule as logged_write: checker times must not
     // pass through a (possibly skewed) client clock.
     auto& log = *logs_[static_cast<std::size_t>(shard)];
     const auto handle = log.record_invocation(checker::OpRecord::Kind::Read,
                                               reader, backend_->now());
     do_read(ctx, shard, reader,
-            [this, shard, handle, cb](const core::ReadResult& r) {
+            [this, shard, handle,
+             cb = std::move(cb)](const core::ReadResult& r) {
               logs_[static_cast<std::size_t>(shard)]->record_read_response(
                   handle, backend_->now(), r.tsval);
               if (cb) cb(r);

@@ -244,6 +244,7 @@ OpenLoopEngine::OpenLoopEngine(Deployment& d, OpenLoopOptions opts)
     rings_.emplace_back(opts_.queue_cap);
   }
   busy_.assign(stations, 0);
+  in_flight_arrival_.assign(stations, 0);
   next_write_k_.assign(static_cast<std::size_t>(d_.shards()), 0);
   client_seen_.assign(static_cast<std::size_t>((opts_.clients + 63) / 64), 0);
 }
@@ -304,6 +305,7 @@ void OpenLoopEngine::issue(std::size_t station, Time arrival,
                            std::uint32_t client, Time at) {
   (void)client;  // the station, not the client id, determines the op
   busy_[station] = 1;
+  in_flight_arrival_[station] = arrival;
   const auto readers = static_cast<std::size_t>(d_.res().num_readers);
   const int shard = static_cast<int>(station / (1 + readers));
   const std::size_t j = station % (1 + readers);
@@ -311,21 +313,22 @@ void OpenLoopEngine::issue(std::size_t station, Time arrival,
     ++stats_.writes_issued;
     const Ts k = ++next_write_k_[static_cast<std::size_t>(shard)];
     d_.logged_write(at, shard, value_for(k),
-                    [this, station, arrival](const core::WriteResult&) {
-                      on_complete(station, arrival);
+                    [this, station](const core::WriteResult&) {
+                      on_complete(station);
                     });
   } else {
     ++stats_.reads_issued;
     d_.logged_read(at, shard, static_cast<int>(j - 1),
-                   [this, station, arrival](const core::ReadResult&) {
-                     on_complete(station, arrival);
+                   [this, station](const core::ReadResult&) {
+                     on_complete(station);
                    });
   }
 }
 
-void OpenLoopEngine::on_complete(std::size_t station, Time arrival) {
+void OpenLoopEngine::on_complete(std::size_t station) {
   const Time now = d_.now();
   const std::lock_guard<std::mutex> lock(mu_);
+  const Time arrival = in_flight_arrival_[station];
   ++stats_.completed;
   stats_.sojourn.record(now > arrival ? now - arrival : 0);
   busy_[station] = 0;

@@ -225,7 +225,7 @@ class OpenLoopEngine {
   /// (requires the station idle; marks it busy). Called under mu_.
   void issue(std::size_t station, Time arrival, std::uint32_t client,
              Time at);
-  void on_complete(std::size_t station, Time arrival);
+  void on_complete(std::size_t station);
 
   Deployment& d_;
   OpenLoopOptions opts_;
@@ -237,6 +237,10 @@ class OpenLoopEngine {
   std::mutex mu_;
   std::vector<StationRing> rings_;  ///< [shard * (R+1) + j]
   std::vector<std::uint8_t> busy_;
+  /// Arrival time of each busy station's op, kept here rather than in the
+  /// completion callback so its [this, station] capture fits
+  /// std::function's inline storage (no allocation per op).
+  std::vector<Time> in_flight_arrival_;
   std::vector<Ts> next_write_k_;  ///< per shard
   std::vector<std::uint64_t> client_seen_;  ///< bitmap, one bit per client
   bool launched_{false};

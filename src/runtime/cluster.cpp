@@ -1,7 +1,6 @@
 #include "runtime/cluster.hpp"
 
 #include <algorithm>
-#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -11,10 +10,10 @@ namespace rr::runtime {
 
 namespace {
 
-/// One iteration of the pre-park spin: a CPU pause most of the time, a
-/// scheduler yield every 8th iteration so a producer sharing the core can
+/// One iteration of acquire_token's spin: a CPU pause most of the time, a
+/// scheduler yield every 8th iteration so a holder sharing the core can
 /// make progress (on a single hardware thread a pure pause loop would just
-/// burn the consumer's quantum).
+/// burn the waiter's quantum).
 inline void spin_pause(std::uint32_t i) {
   if ((i & 0x7) == 0x7) {
     std::this_thread::yield();
@@ -27,12 +26,34 @@ inline void spin_pause(std::uint32_t i) {
 #endif
 }
 
-/// Minimum pre-park spin budget even when the adaptive credit has decayed
-/// to zero: without a floor the credit could never grow again (a zero-spin
-/// consumer cannot observe work arriving mid-spin). Kept tiny -- with
-/// direct delivery most handoffs never touch the mailbox, so long spins
-/// only steal CPU from the thread running the work.
-constexpr std::uint32_t kSpinFloor = 8;
+/// Cap on the step frames one thread stacks: a mailbox thread's counted
+/// step is frame 1, each inline delivery adds one.
+constexpr int kMaxInlineDepth = 4;
+
+/// The cluster whose counted step the calling thread is running (nullptr
+/// outside one, and inside with_context / drive), and its step depth.
+thread_local const void* tl_cluster = nullptr;
+thread_local int tl_depth = 0;
+
+/// Enters one step frame for the calling thread; restores on exit.
+class StepScope {
+ public:
+  explicit StepScope(const void* cluster)
+      : saved_cluster_(tl_cluster), saved_depth_(tl_depth) {
+    tl_cluster = cluster;
+    ++tl_depth;
+  }
+  ~StepScope() {
+    tl_cluster = saved_cluster_;
+    tl_depth = saved_depth_;
+  }
+  StepScope(const StepScope&) = delete;
+  StepScope& operator=(const StepScope&) = delete;
+
+ private:
+  const void* saved_cluster_;
+  int saved_depth_;
+};
 
 }  // namespace
 
@@ -104,17 +125,11 @@ void Cluster::start() {
     }
   }
   timer_thread_ = std::thread([this] { timer_main(); });
-  running_.store(true, std::memory_order_release);
 }
 
 void Cluster::stop() {
   if (stopping_.exchange(true)) return;
-  // Disarm direct delivery first: a send after stop() must behave like the
-  // queued path always has (the message sits undelivered forever), not run
-  // the destination's step inline on the caller's thread.
-  running_.store(false, std::memory_order_release);
-  // Consumers wait with no timeout, so every sleeper must be notified;
-  // spinners observe stopping_ directly.
+  // Consumers wait with no timeout, so every sleeper must be notified.
   for (auto& slot : slots_) {
     std::lock_guard lock(slot->mu);
     slot->cv.notify_all();
@@ -131,27 +146,32 @@ void Cluster::stop() {
 }
 
 void Cluster::acquire_token(Slot& slot) {
-  // Much shorter spin than the mailbox wait: a held token usually means a
-  // whole step is running (not a few-instruction critical section), and on
-  // a saturated core every extra yield here starves the very thread that
-  // must finish that step.
+  // A held token usually means a whole step is running (not a
+  // few-instruction critical section), and on a saturated core every extra
+  // yield here starves the very thread that must finish that step.
   constexpr std::uint32_t kTokenSpin = 32;
   for (std::uint32_t i = 0;
        slot.stepping.exchange(true, std::memory_order_acquire); ++i) {
     if (i < kTokenSpin) {
       spin_pause(i);
     } else {
-      // A long-held token means a slow step is running inline on another
-      // thread (e.g. a history-carrying delivery); futex-wait instead of
-      // yield-cycling the core out from under it.
+      // A long-held token means a slow step (or a long drain) is running on
+      // another thread; futex-wait instead of yield-cycling the core out
+      // from under it.
       slot.stepping.wait(true, std::memory_order_relaxed);
     }
   }
 }
 
 void Cluster::release_token(Slot& slot) {
-  slot.stepping.store(false, std::memory_order_release);
+  slot.stepping.store(false, std::memory_order_seq_cst);
   slot.stepping.notify_one();
+  // A producer that found the token busy queued without waking anyone, and
+  // this holder may not drain: the mailbox thread must.
+  if (direct_delivery_ && slot.active &&
+      slot.hot_queued.load(std::memory_order_seq_cst) != 0) {
+    slot.cv.notify_one();
+  }
 }
 
 /// Releases a stepping token on scope exit, so an exception thrown by a
@@ -176,6 +196,9 @@ void Cluster::with_context(ProcessId pid,
   ClusterContext ctx(*this, pid);
   acquire_token(slot);
   TokenGuard guard(*this, slot);
+  // Not a counted step: its sends must be queued (and counted), never
+  // stepped inline.
+  StepScope scope(nullptr);
   fn(ctx);
 }
 
@@ -207,18 +230,16 @@ bool Cluster::drive(ProcessId pid, const std::function<bool()>& done,
     }
     // done() is re-checked between items, so a partially consumed batch
     // legitimately outlives this call (mid-swap state). The token is
-    // uncontended here (passive slots are never direct-delivery targets)
-    // but keeps the step-exclusivity invariant uniform.
+    // uncontended here (passive slots are never inline targets) but keeps
+    // the step-exclusivity invariant uniform.
     {
       acquire_token(slot);
       TokenGuard guard(*this, slot);
+      StepScope scope(nullptr);
       if (slot.cold_pos < slot.cold_drain.size()) {
         deliver_fn(ctx, slot, std::move(slot.cold_drain[slot.cold_pos++]));
       } else {
-        if (deliver_msg(ctx, slot,
-                        std::move(slot.drain[slot.drain_pos++]))) {
-          delivered_.fetch_add(1, std::memory_order_relaxed);
-        }
+        deliver_msg(ctx, slot, std::move(slot.drain[slot.drain_pos++]));
       }
     }
     finish_work_items(1);
@@ -235,6 +256,14 @@ Time Cluster::now() const {
   return static_cast<Time>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                std::chrono::steady_clock::now() - epoch_)
                                .count());
+}
+
+std::uint64_t Cluster::messages_delivered() const {
+  std::uint64_t total = 0;
+  for (const auto& slot : slots_) {
+    total += slot->delivered.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 net::NetStats Cluster::stats() const {
@@ -260,7 +289,7 @@ void Cluster::post(Time at, ProcessId pid, net::PostFn fn) {
   // asynchronous model -- closure steps have no cross-process ordering
   // guarantee -- but do not rely on timed posts running in `at` order.
   if (at <= now()) {
-    enqueue_fn(pid, std::move(fn), /*already_counted=*/true);
+    enqueue_fn(pid, std::move(fn));
     return;
   }
   {
@@ -288,67 +317,74 @@ void Cluster::timer_main() {
     TimedItem item = std::move(timer_heap_.back());
     timer_heap_.pop_back();
     lock.unlock();
-    enqueue_fn(item.pid, std::move(item.fn), /*already_counted=*/true);
+    enqueue_fn(item.pid, std::move(item.fn));
     lock.lock();
   }
 }
 
-template <class Item>
-void Cluster::enqueue_item(ProcessId pid, Item item, bool already_counted) {
-  constexpr bool kIsMsg = std::is_same_v<Item, net::Envelope>;
-  if (!already_counted) pending_.fetch_add(1, std::memory_order_acq_rel);
+bool Cluster::may_step_inline() const {
+  return tl_cluster == this && tl_depth < kMaxInlineDepth;
+}
+
+void Cluster::enqueue_msg(ProcessId pid, net::Envelope env) {
   auto& slot = *slots_[static_cast<std::size_t>(pid)];
-  // Direct delivery: an idle active destination's step runs right here on
-  // the sending thread -- no enqueue, no wakeup. The queued_hint gate is
-  // what keeps per-channel FIFO: the hint stays non-zero from the first
-  // enqueue until the consumer has dispatched its *entire* swapped batch
-  // (it is re-synced under the lock only after run_batch), so a direct
-  // delivery can never overtake an earlier message that is still queued
-  // or mid-swap. Overtaking traffic on *other* channels is legal under
-  // the asynchronous model (per-message delays are arbitrary in the DES).
-  if (direct_delivery_ && slot.active &&
-      slot.queued_hint.load(std::memory_order_acquire) == 0 &&
-      running_.load(std::memory_order_acquire) &&
+  const bool delegate = direct_delivery_ && slot.active && may_step_inline();
+  // Inline delivery: an idle destination's step runs right here, inside the
+  // sender's counted step, so it touches neither pending_ nor a mailbox.
+  // The empty-hot-lane gate keeps per-channel FIFO: an earlier message on
+  // this channel is either still queued (hot_queued != 0) or in a drain
+  // buffer, and then the token is held until it has been dispatched.
+  if (delegate && slot.hot_queued.load(std::memory_order_acquire) == 0 &&
       !slot.stepping.exchange(true, std::memory_order_acquire)) {
-    {
-      ClusterContext ctx(*this, pid);
-      TokenGuard guard(*this, slot);
-      if constexpr (kIsMsg) {
-        if (deliver_msg(ctx, slot, std::move(item))) {
-          delivered_.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else {
-        deliver_fn(ctx, slot, std::move(item));
-      }
-    }
-    finish_work_items(1);
+    StepScope scope(this);
+    ClusterContext ctx(*this, pid);
+    deliver_msg(ctx, slot, std::move(env));
+    drain_and_release(pid, slot);
     return;
   }
+  pending_.fetch_add(1, std::memory_order_acq_rel);
   bool was_empty;
   {
     std::lock_guard lock(slot.mu);
     was_empty = slot.queued_unlocked() == 0;
-    if constexpr (kIsMsg) {
-      slot.inbox.push_back(std::move(item));
-    } else {
-      slot.cold_inbox.push_back(std::move(item));
-    }
-    slot.queued_hint.store(static_cast<std::uint32_t>(slot.queued_unlocked()),
-                           std::memory_order_release);
+    slot.inbox.push_back(std::move(env));
+    slot.hot_queued.store(
+        static_cast<std::uint32_t>(slot.inbox.size() - slot.inbox_head),
+        std::memory_order_seq_cst);
   }
-  // Only the empty -> non-empty transition can have a parked (or about to
-  // park) consumer: the consumer drains the entire inbox per swap and
-  // re-checks emptiness under the lock before waiting.
+  if (!direct_delivery_ || !slot.active) {
+    // Only one consumer drains this slot, and it drains everything per
+    // swap: only the empty -> non-empty edge can find it parked.
+    if (was_empty) slot.cv.notify_one();
+    return;
+  }
+  // A busy token's holder drains the hot lane before it releases, and
+  // re-checks after (seq_cst on both sides: it or this load sees the
+  // other), so the message needs no wakeup.
+  if (slot.stepping.load(std::memory_order_seq_cst)) return;
+  if (!delegate) {
+    slot.cv.notify_one();
+    return;
+  }
+  // Free token: take it and drain; if another thread took it first, that
+  // holder drains.
+  if (slot.stepping.exchange(true, std::memory_order_acquire)) return;
+  StepScope scope(this);
+  drain_and_release(pid, slot);
+}
+
+void Cluster::enqueue_fn(ProcessId pid, net::PostFn fn) {
+  auto& slot = *slots_[static_cast<std::size_t>(pid)];
+  bool was_empty;
+  {
+    std::lock_guard lock(slot.mu);
+    was_empty = slot.cold_inbox.size() == slot.cold_head;
+    slot.cold_inbox.push_back(std::move(fn));
+  }
+  // Closures run only on the owner's consumer, which takes the whole cold
+  // lane per swap: only the lane's empty -> non-empty edge can find it
+  // parked (its hot lane may be non-empty meanwhile, drained by others).
   if (was_empty) slot.cv.notify_one();
-}
-
-void Cluster::enqueue_msg(ProcessId pid, net::Envelope env,
-                          bool already_counted) {
-  enqueue_item(pid, std::move(env), already_counted);
-}
-
-void Cluster::enqueue_fn(ProcessId pid, net::PostFn fn, bool already_counted) {
-  enqueue_item(pid, std::move(fn), already_counted);
 }
 
 void Cluster::finish_work_items(std::int64_t n) {
@@ -436,9 +472,7 @@ void Cluster::reinject(std::vector<net::Released>& released) {
   // A concurrent send on a just-released channel may overtake its backlog,
   // which is legal under the asynchronous model (fresh delays on release,
   // as in the DES).
-  for (auto& r : released) {
-    enqueue_msg(r.to, std::move(r.env), /*already_counted=*/false);
-  }
+  for (auto& r : released) enqueue_msg(r.to, std::move(r.env));
 }
 
 // ---------------------------------------------------------------------------
@@ -485,19 +519,15 @@ void Cluster::send_copy(ProcessId from, ProcessId to, wire::Message msg) {
            net::PostFn(
                [this, from, m = std::move(msg)](net::Context& ctx) mutable {
                  auto& slot = *slots_[static_cast<std::size_t>(ctx.self())];
-                 if (deliver_msg(ctx, slot,
-                                 net::Envelope{from, std::move(m)})) {
-                   delivered_.fetch_add(1, std::memory_order_relaxed);
-                 }
+                 deliver_msg(ctx, slot, net::Envelope{from, std::move(m)});
                }));
       return;
     }
   }
-  enqueue_msg(to, net::Envelope{from, std::move(msg)},
-              /*already_counted=*/false);
+  enqueue_msg(to, net::Envelope{from, std::move(msg)});
 }
 
-bool Cluster::deliver_msg(net::Context& ctx, Slot& slot, net::Envelope env) {
+void Cluster::deliver_msg(net::Context& ctx, Slot& slot, net::Envelope env) {
   // Gray (slow-but-alive): the process takes this step late but correctly.
   const auto gray = slot.gray_ns.load(std::memory_order_relaxed);
   if (gray > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(gray));
@@ -509,16 +539,18 @@ bool Cluster::deliver_msg(net::Context& ctx, Slot& slot, net::Envelope env) {
   // still undelivered at that point must be dropped (as under the DES).
   if (slot.crashed.load(std::memory_order_acquire)) {
     slot.local_stats.messages_dropped++;
-    return false;
+    return;
   }
   if (crashed(env.from)) {
     // Mirror the DES: a crashed sender's in-flight messages are lost too
     // (legal in a partial run; keeps crash semantics identical across
     // backends).
     slot.local_stats.messages_dropped++;
-    return false;
+    return;
   }
   slot.local_stats.messages_delivered++;
+  slot.delivered.store(slot.delivered.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
   if (opts_.reserialize) {
     auto round_tripped = wire::decode(wire::encode(env.msg));
     RR_ASSERT_MSG(round_tripped.has_value(), "codec must round-trip");
@@ -526,7 +558,6 @@ bool Cluster::deliver_msg(net::Context& ctx, Slot& slot, net::Envelope env) {
   } else {
     slot.proc->on_message(ctx, env.from, env.msg);
   }
-  return true;
 }
 
 void Cluster::deliver_fn(net::Context& ctx, Slot& slot, net::PostFn fn) {
@@ -548,46 +579,35 @@ void Cluster::swap_lanes(Slot& slot) {
   RR_ASSERT(slot.inbox_head == 0 && slot.cold_head == 0);
   slot.inbox.swap(slot.drain);
   slot.cold_inbox.swap(slot.cold_drain);
-  // queued_hint deliberately stays non-zero: it means "queued OR batch in
-  // flight", and is re-synced under the lock only after the whole batch
-  // has been dispatched. That is what stops a direct delivery from
-  // overtaking the just-swapped batch (per-channel FIFO). Passive slots
-  // drained by drive() never re-sync -- harmless, they are never direct
-  // targets and have no consumer thread spinning on the hint.
+  slot.hot_queued.store(0, std::memory_order_relaxed);
 }
 
-void Cluster::run_batch(ProcessId pid, Slot& slot) {
+void Cluster::drain_and_release(ProcessId pid, Slot& slot) {
   ClusterContext ctx(*this, pid);
-  const auto n = static_cast<std::int64_t>(slot.cold_drain.size() +
-                                           slot.drain.size());
-  std::uint64_t delivered = 0;
-  {
-    // One token acquisition serializes the whole batch against direct
-    // deliveries landing on this automaton from sender threads.
-    acquire_token(slot);
-    TokenGuard guard(*this, slot);
-    // Cold lane first: timer-driven closures (operation invocations, chaos
-    // steps) run before this batch's messages. Cross-lane order is free
-    // under the asynchronous model -- message delays are arbitrary -- and
-    // each lane keeps its own FIFO.
-    for (auto& fn : slot.cold_drain) {
-      deliver_fn(ctx, slot, std::move(fn));
+  for (;;) {
+    std::int64_t n = 0;
+    while (slot.hot_queued.load(std::memory_order_acquire) != 0) {
+      {
+        std::lock_guard lock(slot.mu);
+        RR_ASSERT(slot.inbox_head == 0);
+        slot.inbox.swap(slot.drain);
+        slot.hot_queued.store(0, std::memory_order_relaxed);
+      }
+      for (auto& env : slot.drain) deliver_msg(ctx, slot, std::move(env));
+      n += static_cast<std::int64_t>(slot.drain.size());
+      slot.drain.clear();
     }
-    slot.cold_drain.clear();
-    for (auto& env : slot.drain) {
-      if (deliver_msg(ctx, slot, std::move(env))) ++delivered;
+    finish_work_items(n);
+    slot.stepping.store(false, std::memory_order_seq_cst);
+    slot.stepping.notify_one();
+    // A producer that found the token busy queued without waking anyone:
+    // take the token back and drain again, unless another thread already
+    // holds it (that holder drains before it releases).
+    if (slot.hot_queued.load(std::memory_order_seq_cst) == 0 ||
+        slot.stepping.exchange(true, std::memory_order_acquire)) {
+      return;
     }
-    slot.drain.clear();
   }
-  if (delivered > 0) {
-    delivered_.fetch_add(delivered, std::memory_order_relaxed);
-  }
-  finish_work_items(n);
-  // The batch is fully dispatched: re-sync the hint to the live queue
-  // state, re-enabling direct delivery (see enqueue_item / swap_lanes).
-  std::lock_guard lock(slot.mu);
-  slot.queued_hint.store(static_cast<std::uint32_t>(slot.queued_unlocked()),
-                         std::memory_order_release);
 }
 
 void Cluster::thread_main(ProcessId pid) {
@@ -596,43 +616,35 @@ void Cluster::thread_main(ProcessId pid) {
     return;
   }
   auto& slot = *slots_[static_cast<std::size_t>(pid)];
+  ClusterContext ctx(*this, pid);
   while (!stopping_.load(std::memory_order_relaxed)) {
-    // Adaptive bounded spin on the lock-free hint before parking: a batch
-    // that arrives within the credit is picked up without a condvar round
-    // trip. The credit grows only when the spin itself caught the work
-    // (work already queued at the first check needed no waiting at all)
-    // and halves on every futile park, so it decays to zero on
-    // oversubscribed machines where spinning steals the producer's core.
-    bool spin_hit = false;
-    if (slot.queued_hint.load(std::memory_order_acquire) == 0) {
-      const std::uint32_t budget =
-          std::min(std::max(slot.spin_credit, kSpinFloor),
-                   opts_.max_spin_iters);
-      for (std::uint32_t i = 0; i < budget; ++i) {
-        if (stopping_.load(std::memory_order_relaxed)) return;
-        spin_pause(i);
-        if (slot.queued_hint.load(std::memory_order_acquire) != 0) {
-          spin_hit = true;
-          break;
-        }
-      }
-    }
     {
       std::unique_lock lock(slot.mu);
-      if (slot.queued_unlocked() == 0) {
-        slot.spin_credit /= 2;
-        slot.cv.wait(lock, [&] {
-          return slot.queued_unlocked() != 0 ||
-                 stopping_.load(std::memory_order_relaxed);
-        });
-        if (slot.queued_unlocked() == 0) return;  // stopping, nothing queued
-      } else if (spin_hit) {
-        slot.spin_credit =
-            std::min(slot.spin_credit * 2 + 8, opts_.max_spin_iters);
-      }
+      slot.cv.wait(lock, [&] {
+        return slot.queued_unlocked() != 0 ||
+               stopping_.load(std::memory_order_relaxed);
+      });
+      if (slot.queued_unlocked() == 0) return;  // stopping, nothing queued
+    }
+    // The token guards the drain buffers, which a delegating thread may be
+    // using right now: take it before swapping.
+    acquire_token(slot);
+    {
+      std::lock_guard lock(slot.mu);
       swap_lanes(slot);
     }
-    run_batch(pid, slot);
+    StepScope scope(this);
+    // Cold lane first: timer-driven closures (operation invocations, chaos
+    // steps) run before this batch's messages. Cross-lane order is free
+    // under the asynchronous model -- message delays are arbitrary -- and
+    // each lane keeps its own FIFO.
+    for (auto& fn : slot.cold_drain) deliver_fn(ctx, slot, std::move(fn));
+    for (auto& env : slot.drain) deliver_msg(ctx, slot, std::move(env));
+    finish_work_items(static_cast<std::int64_t>(slot.cold_drain.size() +
+                                                slot.drain.size()));
+    slot.cold_drain.clear();
+    slot.drain.clear();
+    drain_and_release(pid, slot);
   }
 }
 
@@ -687,14 +699,14 @@ void Cluster::thread_main_unbatched(ProcessId pid) {
           slot.cold_head = 0;
         }
       }
-      slot.queued_hint.store(
-          static_cast<std::uint32_t>(slot.queued_unlocked()),
-          std::memory_order_release);
+      slot.hot_queued.store(
+          static_cast<std::uint32_t>(slot.inbox.size() - slot.inbox_head),
+          std::memory_order_relaxed);
     }
     if (is_fn) {
       deliver_fn(ctx, slot, std::move(fn));
-    } else if (deliver_msg(ctx, slot, std::move(env))) {
-      delivered_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      deliver_msg(ctx, slot, std::move(env));
     }
     finish_work_items(1);
   }

@@ -8,27 +8,31 @@
 //               drive() / with_context() (this realizes blocking operations
 //               without the automaton ever blocking).
 //
-// Every automaton is only ever touched by its owning thread, so the
-// protocol code needs no synchronization -- exactly as under the DES.
+// Every automaton is touched by one thread at a time -- whichever holds its
+// stepping token -- so the protocol code needs no synchronization, exactly
+// as under the DES.
 //
-// The message path is engineered around amortization: pay one
-// synchronization per *batch* of deliveries, not per message (see
-// docs/ARCHITECTURE.md, "Threaded backend hot path"):
-//   - Swap-drain mailboxes. Each mailbox is a double-buffered pair of
-//     vectors. The consumer takes the slot lock once, swaps the entire
-//     inbox into its private drain buffer, and dispatches the whole run
-//     lock-free; cleared buffers keep their capacity, so steady-state
-//     delivery performs no heap allocation.
+// The message path runs each message on a thread that already holds, or can
+// take, its destination's stepping token (see docs/ARCHITECTURE.md,
+// "Threaded backend hot path"):
+//   - Delegation. A message whose destination token is free and whose hot
+//     lane is empty is stepped inline on the sending thread. A message whose
+//     destination token is busy is only enqueued -- no wakeup -- because
+//     every token holder drains the destination's hot lane before it
+//     releases the token, and re-takes the token if a message landed in the
+//     gap. Delivering a message therefore needs no thread switch.
+//   - Inline steps are not counted. Only cluster-owned threads, inside a
+//     step that pending_ already counts, deliver inline (nesting capped at
+//     kMaxInlineDepth), so an inline delivery touches no counter shared
+//     across cores. Delivered counts live per slot, written by the holder.
+//   - Swap-drain mailboxes. Each lane is a double-buffered pair of vectors:
+//     the token holder takes the slot lock once, swaps the whole lane into
+//     its drain buffer and dispatches the run lock-free; cleared buffers
+//     keep their capacity, so steady-state delivery allocates nothing.
 //   - Lean envelopes. The hot lane moves only {from, msg}; posted closures
 //     (net::PostFn, 128-byte inline buffer) travel in a separate cold lane
-//     swapped under the same single lock acquisition, so protocol traffic
-//     never drags closure storage through the queue.
-//   - Batched accounting. The pending-work counter behind run_quiescent()
-//     and the delivered counter are updated once per batch.
-//   - Cheap wakeups. Producers notify the consumer condvar only on an
-//     empty -> non-empty transition; consumers spin a small adaptive
-//     bounded budget on a lock-free hint before parking, and there is no
-//     idle timeout poll (stop() notifies every sleeper).
+//     that only the owner's mailbox thread (or drive()) runs, and whose
+//     empty -> non-empty transition is the one wakeup a producer sends.
 //
 // Beyond raw transport the cluster supports the same experiment surface as
 // sim::World, so the harness can drive either backend through one
@@ -74,11 +78,6 @@ struct ClusterOptions {
   /// the batching-speedup bench ratio and the delivery-semantics parity
   /// tests compare against. Semantics are identical either way.
   bool batched_drain{true};
-  /// Upper bound on the adaptive pre-park spin (iterations of a lock-free
-  /// hint check; 0 parks immediately). The credit grows when work arrives
-  /// while spinning and halves on every futile park, so oversubscribed
-  /// (e.g. single-core) runs decay toward parking directly.
-  std::uint32_t max_spin_iters{256};
 };
 
 class Cluster {
@@ -155,9 +154,10 @@ class Cluster {
     return static_cast<int>(slots_.size());
   }
   [[nodiscard]] Time now() const;
-  [[nodiscard]] std::uint64_t messages_delivered() const {
-    return delivered_.load(std::memory_order_relaxed);
-  }
+  /// Messages delivered so far: the sum of the per-slot counts. Safe to
+  /// call while the cluster runs; exact once it has quiesced, where it
+  /// equals stats().messages_delivered.
+  [[nodiscard]] std::uint64_t messages_delivered() const;
   /// Aggregated traffic statistics. Counters live per slot and are written
   /// lock-free by their owning threads; call this only after the cluster
   /// has quiesced (run_quiescent) or stopped for exact numbers.
@@ -177,10 +177,14 @@ class Cluster {
     /// Gray (slow-but-alive) injected per-step delay; 0 = healthy.
     std::atomic<std::uint64_t> gray_ns{0};
     /// Step-exclusivity token: held by whichever thread is currently
-    /// running a step of this automaton -- its mailbox thread during a
-    /// batch, or a sender delivering directly into an idle destination.
-    /// acquire/release ordering hands the automaton state between them.
+    /// running a step of this automaton -- its mailbox thread, a cluster
+    /// thread delivering inline or draining for it, or a with_context /
+    /// drive caller. It also guards the drain buffers. Every holder drains
+    /// the hot lane before releasing (see drain_and_release).
     std::atomic<bool> stepping{false};
+    /// Messages delivered to this process; written only by the token
+    /// holder (relaxed load + store), summed by messages_delivered().
+    std::atomic<std::uint64_t> delivered{0};
 
     // --- producer side: guarded by mu ---------------------------------
     std::mutex mu;
@@ -193,10 +197,13 @@ class Cluster {
     /// per-message (unbatched) consumer, always 0 under swap-drain.
     std::size_t inbox_head{0};
     std::size_t cold_head{0};
-    /// Lock-free "work queued" hint the consumer spins on before parking.
-    std::atomic<std::uint32_t> queued_hint{0};
+    /// Hot-lane length, stored under mu with seq_cst so that a producer
+    /// that finds the token busy and a holder releasing it cannot both
+    /// miss each other (see enqueue_msg / drain_and_release).
+    std::atomic<std::uint32_t> hot_queued{0};
 
-    // --- consumer side: touched only by the owning thread -------------
+    // --- consumer side: guarded by the stepping token (a passive slot's
+    // --- by drive()'s external serialization) --------------------------
     /// Double buffers: swap-drain exchanges them with the inbox lanes
     /// under one lock acquisition; clearing keeps capacity, so the
     /// steady state allocates nothing.
@@ -205,15 +212,11 @@ class Cluster {
     /// Resume positions for incremental consumers (drive()).
     std::size_t drain_pos{0};
     std::size_t cold_pos{0};
-    /// Adaptive spin budget (grows on spin hits, halves on futile parks).
-    std::uint32_t spin_credit{0};
 
     /// Per-slot traffic counters, lock-free by ownership: both sender- and
     /// delivery-side fields are written only by the thread currently
-    /// holding this slot's stepping token (its mailbox thread during a
-    /// batch, a sender during a direct delivery, a driver inside drive()),
-    /// so the token's acquire/release ordering serializes them. stats()
-    /// aggregates after quiescence.
+    /// holding this slot's stepping token, so the token's acquire/release
+    /// ordering serializes them. stats() aggregates after quiescence.
     net::NetStats local_stats;
 
     /// Items queued and not yet handed to the consumer (mu held).
@@ -243,37 +246,43 @@ class Cluster {
   /// Enqueues released held-channel backlogs, in order (called outside
   /// chan_mu_: enqueue_msg takes slot locks, never nested under it).
   void reinject(std::vector<net::Released>& released);
-  /// Appends to `pid`'s hot/cold lane -- unless the destination is an idle
-  /// active process, in which case the work is delivered directly on the
-  /// calling thread (see direct_delivery_). `already_counted` says whether
-  /// this work item was already added to pending_ (timer items are counted
-  /// at post() time so quiescence never observes a gap between timer pop
-  /// and enqueue). Notifies the consumer only on empty -> non-empty.
-  void enqueue_msg(ProcessId pid, net::Envelope env, bool already_counted);
-  void enqueue_fn(ProcessId pid, net::PostFn fn, bool already_counted);
+  /// Hands one message to `pid`. On a cluster thread inside a counted step
+  /// (see may_step_inline), an idle destination with an empty hot lane is
+  /// stepped right here, uncounted; otherwise the message is queued and
+  /// counted in pending_. A queued message wakes nobody while the token is
+  /// busy (the holder drains it); with the token free, a cluster thread
+  /// takes the token and drains, any other thread wakes the mailbox thread.
+  void enqueue_msg(ProcessId pid, net::Envelope env);
+  /// Queues a closure in `pid`'s cold lane (already counted in pending_ by
+  /// post()); wakes the consumer on the lane's empty -> non-empty edge.
+  void enqueue_fn(ProcessId pid, net::PostFn fn);
   void finish_work_items(std::int64_t n);
+  /// True when the calling thread may step an active slot inline: it is
+  /// one of this cluster's mailbox threads, inside a counted step, below
+  /// the nesting cap.
+  [[nodiscard]] bool may_step_inline() const;
   /// Spins (with yields) until `slot`'s stepping token is acquired,
   /// futex-waiting if the holder runs a long step.
   void acquire_token(Slot& slot);
+  /// Release for holders that may not drain (with_context / drive callers,
+  /// the unbatched path): wakes the mailbox thread of an active slot if a
+  /// message landed while the token was held.
   void release_token(Slot& slot);
-  class TokenGuard;  ///< RAII release (exception-safe), defined in the .cpp
-  /// Appends one item to the matching lane of `pid`'s mailbox -- or runs
-  /// it right here when the destination is idle (direct delivery). The
-  /// single definition of the producer-side protocol for both lanes.
-  template <class Item>
-  void enqueue_item(ProcessId pid, Item item, bool already_counted);
+  class TokenGuard;  ///< RAII release_token (exception-safe), in the .cpp
+  /// Runs every hot-lane message queued for `pid` (the caller holds its
+  /// token), releases the token, and re-takes it to drain again if a
+  /// message landed in the gap. Queued items are counted, so pending_ is
+  /// settled once per swap.
+  void drain_and_release(ProcessId pid, Slot& slot);
 
   /// Delivers one hot-lane envelope as a step of `pid` (crash checks,
-  /// jitter, optional codec round-trip). Returns true when the message was
-  /// actually delivered (vs. dropped). Does not touch pending_/delivered_.
-  bool deliver_msg(net::Context& ctx, Slot& slot, net::Envelope env);
+  /// jitter, optional codec round-trip) and counts it in the slot's
+  /// delivered counters. Does not touch pending_.
+  void deliver_msg(net::Context& ctx, Slot& slot, net::Envelope env);
   /// Runs one cold-lane closure as a step of `pid` (skipped if crashed).
   void deliver_fn(net::Context& ctx, Slot& slot, net::PostFn fn);
   /// Swaps both inbox lanes into the drain buffers (mu held by caller).
   void swap_lanes(Slot& slot);
-  /// Dispatches everything currently in the drain buffers, then updates
-  /// delivered_ and pending_ once.
-  void run_batch(ProcessId pid, Slot& slot);
 
   void thread_main(ProcessId pid);
   void thread_main_unbatched(ProcessId pid);
@@ -281,26 +290,18 @@ class Cluster {
 
   ClusterOptions opts_;
   Rng seeder_;
-  /// The cheapest wakeup is none: when a message's (or due closure's)
-  /// destination is an active process whose stepping token is free, the
-  /// sending thread runs the destination's step directly instead of
-  /// enqueueing and waking its mailbox thread -- zero condvar round trips
-  /// along an idle request-response chain, while busy destinations keep
-  /// genuine concurrency. Off when jitter is on (jitter must sleep on the
-  /// receiving thread) and in the per-message reference mode. Passive
-  /// slots are never targets: their steps must stay on the driving thread
-  /// (drive()'s done() condition reads results without synchronization).
+  /// Inline delivery and delegation (see enqueue_msg). Off when jitter is
+  /// on (jitter must sleep on the receiving thread) and in the per-message
+  /// reference mode; then every message is queued and its producer wakes
+  /// the consumer on the empty -> non-empty edge. Passive slots are never
+  /// inline targets: their steps must stay on the driving thread (drive()'s
+  /// done() condition reads results without synchronization).
   bool direct_delivery_{true};
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::thread> threads_;
   std::thread timer_thread_;
   std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> delivered_{0};
   bool started_{false};
-  /// True once start() has finished every on_start: direct delivery must
-  /// not run a process's step before its on_start (queued deliveries only
-  /// begin when the mailbox threads spin up, which is also after).
-  std::atomic<bool> running_{false};
   std::chrono::steady_clock::time_point epoch_;
 
   // Timed closures, ordered by (at, seq).
@@ -310,6 +311,7 @@ class Cluster {
   std::uint64_t timer_seq_{0};
 
   // Outstanding work: queued envelopes + pending timers + steps in flight.
+  // Inline steps run inside a counted step and are not counted themselves.
   std::atomic<std::int64_t> pending_{0};
   std::mutex quiesce_mu_;
   std::condition_variable quiesce_cv_;

@@ -151,8 +151,11 @@ TEST(LoadEngine, OpenLoopSurvivesChaosWithWindowedChecker) {
 // R=2, 30% writes), setup included. Every PW/W fan-out, history reply slot
 // and reader candidate copies a written tuple, so the per-op count follows
 // what one tuple copy costs; at one allocation per tuple the run needs
-// about 23 per op, and a tuple copy costing one allocation per harvested
-// row on top pushes it past 60.
+// about 21 per op (20.96 measured), and a tuple copy costing one allocation
+// per harvested row on top pushes it past 60. Completion callbacks are
+// moved, not copied, through each wrapper layer, and the load engine's own
+// callback fits std::function's inline storage; copying either again
+// costs about one allocation per op.
 // ---------------------------------------------------------------------------
 TEST(LoadEngine, RegularOpenLoopDesRunStaysWithinAllocationBudget) {
   Scenario s;
@@ -178,7 +181,7 @@ TEST(LoadEngine, RegularOpenLoopDesRunStaysWithinAllocationBudget) {
   ASSERT_GT(v.ops_complete, 2'000);
   const double per_op =
       static_cast<double>(allocs) / static_cast<double>(v.ops_complete);
-  EXPECT_LE(per_op, 30.0) << allocs << " allocations over " << v.ops_complete
+  EXPECT_LE(per_op, 21.0) << allocs << " allocations over " << v.ops_complete
                           << " ops";
 }
 
